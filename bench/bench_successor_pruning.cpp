@@ -1,15 +1,14 @@
-// PRUNING — successor-generation completion enumeration: pruned residual
-// search vs the historical enumerate-and-test path.
+// PRUNING — successor generation: the lazy conjunct walk vs the naive
+// enumerate-and-test oracle.
 //
-// Artifact: for the fig6/fig8/fig9 workloads, the completion-enumeration
-// counters of a fully pruned run — successors_enumerated (identical to the
-// naive path by the determinism contract), completions_pruned (completions
-// the flat odometer would have visited but the residual schedule cut), and
-// residual_early_cuts — plus a naive-vs-pruned cross-check that both paths
-// build bit-identical graphs.
+// Artifact: for the fig6/fig8/fig9 workloads, the enumeration counters of a
+// walk run — successors_enumerated, completions_pruned (domain values the
+// walk tried for an undetermined primed variable and rejected), and
+// residual_early_cuts (those rejections that cut a whole subtree) — plus a
+// naive-vs-walk cross-check that both paths build the same graphs.
 //
-// Benchmarks: graph construction and enabled() queries, naive vs pruned,
-// on the composite queue systems and on a synthetic residual-heavy action
+// Benchmarks: graph construction and enabled() queries, naive vs walk, on
+// the composite queue systems and on a synthetic constraint-heavy action
 // where subtree cutting dominates.
 
 #include <cstdint>
@@ -21,6 +20,7 @@
 #include "opentla/compose/compose.hpp"
 #include "opentla/ag/composition_theorem.hpp"
 #include "opentla/graph/successor.hpp"
+#include "opentla/state/state_space.hpp"
 #include "opentla/queue/double_queue.hpp"
 #include "opentla/queue/queue_spec.hpp"
 #include "opentla/value/domain.hpp"
@@ -59,7 +59,7 @@ void fig6_workload() {
   QueueSystem sys = make_queue_system(3, 3);
   StateGraph g = build_composite_graph(sys.vars, {{sys.specs.complete.unhidden(), true}});
   // Machine closure walks the prefix machine of the hidden-variable spec —
-  // the pruned hidden-completion path.
+  // the walk over hidden completions.
   benchmark::DoNotOptimize(
       check_machine_closure_on_graph(g, sys.specs.complete.unhidden()).machine_closed);
   benchmark::DoNotOptimize(check_prop1_syntactic(sys.specs.complete).machine_closed);
@@ -105,12 +105,12 @@ struct Synthetic {
 };
 
 void artifact() {
-  std::cout << "=== PRUNING: completion enumeration, pruned vs enumerate-and-test ===\n";
+  std::cout << "=== PRUNING: successor generation, conjunct walk vs enumerate-and-test ===\n";
   if (!obs::compile_time_enabled()) {
     std::cout << "(OPENTLA_OBS=OFF build: counters unavailable, cross-checks only)\n";
   }
 
-  // Cross-check first: naive and pruned runs must build identical graphs.
+  // Cross-check first: naive and walk runs must build the same graphs.
   ActionSuccessors::set_naive_enumeration_for_test(true);
   StateGraph n6 = fig6_graph();
   StateGraph n8 = fig8_graph();
@@ -123,7 +123,7 @@ void artifact() {
                          n8.num_states() == p8.num_states() &&
                          n8.num_edges() == p8.num_edges() &&
                          n8.initial() == p8.initial();
-  std::cout << "naive/pruned graph identity (fig6, fig8): "
+  std::cout << "naive/walk graph identity (fig6, fig8): "
             << (identical ? "identical" : "MISMATCH") << "\n";
 
   // Same cross-check for the expression evaluator: the graphs a tree-eval
@@ -160,8 +160,8 @@ void artifact() {
   const Counts sc = measure([&] { benchmark::DoNotOptimize(gen.successors(syn.first())); });
   std::cout << std::setw(10) << "synthetic" << std::setw(14) << sc.enumerated
             << std::setw(16) << sc.pruned << std::setw(12) << sc.cuts << "\n";
-  std::cout << "(compl_pruned = completions enumerate-and-test would visit that the\n"
-            << " residual schedule skipped; > 0 means strictly fewer leaves touched)\n\n";
+  std::cout << "(compl_pruned = domain values the walk tried for an undetermined\n"
+            << " primed variable and rejected)\n\n";
 }
 
 void BM_GraphBuildFig6(benchmark::State& state) {
@@ -172,7 +172,7 @@ void BM_GraphBuildFig6(benchmark::State& state) {
     benchmark::DoNotOptimize(g.num_states());
   }
   ActionSuccessors::set_naive_enumeration_for_test(false);
-  state.SetLabel(state.range(0) == 0 ? "naive" : "pruned");
+  state.SetLabel(state.range(0) == 0 ? "naive" : "walk");
 }
 BENCHMARK(BM_GraphBuildFig6)
     ->Args({0, 2})->Args({1, 2})->Args({0, 3})->Args({1, 3})
@@ -185,7 +185,7 @@ void BM_GraphBuildFig8(benchmark::State& state) {
     benchmark::DoNotOptimize(g.num_states());
   }
   ActionSuccessors::set_naive_enumeration_for_test(false);
-  state.SetLabel(state.range(0) == 0 ? "naive" : "pruned");
+  state.SetLabel(state.range(0) == 0 ? "naive" : "walk");
 }
 BENCHMARK(BM_GraphBuildFig8)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
@@ -203,7 +203,7 @@ void BM_EnabledSynthetic(benchmark::State& state) {
     benchmark::DoNotOptimize(gen.enabled(s));
   }
   ActionSuccessors::set_naive_enumeration_for_test(false);
-  state.SetLabel(state.range(0) == 0 ? "naive" : "pruned");
+  state.SetLabel(state.range(0) == 0 ? "naive" : "walk");
 }
 BENCHMARK(BM_EnabledSynthetic)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
@@ -216,11 +216,11 @@ void BM_SuccessorsSynthetic(benchmark::State& state) {
     benchmark::DoNotOptimize(gen.successors(s));
   }
   ActionSuccessors::set_naive_enumeration_for_test(false);
-  state.SetLabel(state.range(0) == 0 ? "naive" : "pruned");
+  state.SetLabel(state.range(0) == 0 ? "naive" : "walk");
 }
 BENCHMARK(BM_SuccessorsSynthetic)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
-// --- Evaluator axis: identical pruned workloads, tree walker vs bytecode
+// --- Evaluator axis: identical walk workloads, tree evaluator vs bytecode
 // VM (vm::set_tree_eval_for_test). Successor sets and emission order are
 // bit-identical either way; only per-conjunct evaluation cost changes.
 

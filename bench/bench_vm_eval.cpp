@@ -72,8 +72,8 @@ std::vector<Shape> shapes(const Universe& u) {
                  ex::eq(ex::make_tuple({ex::primed_var(u.a), ex::primed_var(u.s1)}),
                         ex::make_tuple({ex::var(u.b), ex::var(u.s2)})),
                  true});
-  // Residual conjunct: the shape for_each_completion_pruned evaluates at
-  // every bind point.
+  // Constraint conjunct: the shape the conjunct walk evaluates at every
+  // enumerated value.
   out.push_back({"residual", ex::land(ex::le(ex::primed_var(u.a), ex::var(u.b)),
                                       ex::neq(ex::primed_var(u.a), ex::var(u.a))),
                  true});

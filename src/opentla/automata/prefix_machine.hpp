@@ -28,11 +28,10 @@
 #include <string>
 #include <vector>
 
-#include "opentla/expr/analysis.hpp"
+#include "opentla/graph/walk.hpp"
 #include "opentla/state/state.hpp"
 #include "opentla/state/var_table.hpp"
 #include "opentla/tla/spec.hpp"
-#include "opentla/vm/interp.hpp"
 
 namespace opentla {
 
@@ -78,21 +77,6 @@ class PrefixMachine final : public SafetyMachine {
   std::size_t max_config_size() const { return max_config_; }
 
  private:
-  struct Disjunct {
-    ActionDisjunct parts;
-    std::vector<VarId> hidden_free;  // hidden vars not assigned by this disjunct
-    /// Pruned-search schedule over hidden_free: residual conjuncts fire as
-    /// soon as their hidden variables are bound (visible primed variables
-    /// are already fixed by the given successor t).
-    ResidualSchedule hidden_sched;
-    /// Bytecode lowered at construction, paired index-for-index with
-    /// parts.guards / parts.assignments / parts.residual (see the same
-    /// scheme in ActionSuccessors::CompiledDisjunct).
-    std::vector<vm::CompiledExpr> guards;
-    std::vector<vm::CompiledExpr> rhs;
-    std::vector<vm::CompiledExpr> residual;
-  };
-
   State compose(const State& visible, const Value& hidden_vals) const;
   void hidden_successors(const State& s_full, const State& t,
                          const std::function<void(Value)>& emit) const;
@@ -102,7 +86,10 @@ class PrefixMachine final : public SafetyMachine {
   std::vector<char> is_hidden_;       // indexed by VarId
   std::vector<VarId> visible_sub_;    // subscript vars that are not hidden
   std::vector<VarId> hidden_sub_;     // subscript vars that are hidden
-  std::vector<Disjunct> disjuncts_;
+  std::vector<char> visible_;         // indexed by VarId: not hidden
+  /// N walked with every visible primed variable bound to the given
+  /// successor, so only the hidden ones are enumerated.
+  ConjunctWalk walk_;
   mutable std::size_t max_config_ = 0;
 };
 

@@ -79,26 +79,43 @@ StateGraph build_composite_graph(const VarTable& vars, const std::vector<Composi
     }
   }
 
+  // Every step of the conjunction that changes some part's subscript is a
+  // step of that part's N or of a free tuple, so the steps are the union
+  // over each mover m of N_m /\ /\_{p # m} [N_p]_{v_p}, plus the free-tuple
+  // moves under every [N_p]_{v_p}. Each conjunction is one walk: the
+  // parts' step formulas are branched on as the walk meets them, so a
+  // candidate another part would reject is never generated.
   std::vector<Expr> inits;
-  std::vector<ActionSuccessors> movers;
+  std::vector<Expr> boxes;
   for (const CompositePart& p : parts) {
     inits.push_back(p.spec.init);
+    boxes.push_back(p.spec.box_step_action());
+  }
+  std::vector<ActionSuccessors> walks;
+  for (std::size_t m = 0; m < parts.size(); ++m) {
+    const CompositePart& p = parts[m];
     if (!p.mover) continue;
+    std::vector<Expr> conj = {p.spec.next};
+    for (std::size_t o = 0; o < parts.size(); ++o) {
+      if (o != m) conj.push_back(boxes[o]);
+    }
     std::vector<VarId> part_pinned = pinned;
     part_pinned.insert(part_pinned.end(), p.extra_pinned.begin(), p.extra_pinned.end());
-    movers.emplace_back(vars, p.spec.next, std::move(part_pinned));
+    walks.emplace_back(vars, ex::land(std::move(conj)), std::move(part_pinned));
     // Per-action coverage attributes each mover's emissions to its spec.
-    movers.back().set_label(p.spec.name.empty() ? "part_" + std::to_string(movers.size())
-                                                : p.spec.name);
+    walks.back().set_label(p.spec.name.empty() ? "part_" + std::to_string(walks.size())
+                                               : p.spec.name);
   }
   for (const std::vector<VarId>& tuple : free_tuples) {
     // Everything outside the tuple is pinned by assignment; the tuple's
-    // variables range over their domains.
+    // variables range over whatever the parts' step formulas allow.
     std::vector<VarId> complement;
     for (VarId v = 0; v < vars.size(); ++v) {
       if (std::find(tuple.begin(), tuple.end(), v) == tuple.end()) complement.push_back(v);
     }
-    movers.emplace_back(vars, ex::unchanged(complement));
+    std::vector<Expr> conj = {ex::unchanged(complement)};
+    conj.insert(conj.end(), boxes.begin(), boxes.end());
+    walks.emplace_back(vars, ex::land(std::move(conj)));
   }
 
   const std::vector<State> init_states =
@@ -106,26 +123,15 @@ StateGraph build_composite_graph(const VarTable& vars, const std::vector<Composi
 
   // Determinism contract (relied on by the parallel engine's canonical
   // renumbering): for a fixed state `s`, this lambda emits successors in a
-  // fixed order — movers in construction order, each walking its residual
-  // schedule's enumeration order (see graph/successor.cpp). Pruning only
-  // skips completions whose residual conjuncts already failed; it never
-  // reorders survivors, so the emitted sequence is the naive odometer order
-  // restricted to actual successors. The unordered `seen` set is
-  // membership-only dedup; it never drives emission order. The lambda is
-  // safe to call concurrently on distinct states: all captures are
-  // read-only and `seen` is per-call.
-  auto succ = [&vars, &parts, movers = std::move(movers)](
-                  const State& s, const std::function<void(const State&)>& emit) {
+  // fixed order — walks in construction order (movers, then free tuples),
+  // each in its branch and enumeration order (see graph/walk.hpp). The
+  // unordered `seen` set is membership-only dedup; it never drives
+  // emission order. The lambda is safe to call concurrently on distinct
+  // states: all captures are read-only and `seen` is per-call.
+  auto succ = [walks = std::move(walks)](const State& s,
+                                         const std::function<void(const State&)>& emit) {
     std::unordered_set<State, StateHash> seen;
-    for (const ActionSuccessors& mover : movers) {
-      mover.for_each_successor(s, [&](const State& t) {
-        if (!seen.insert(t).second) return;
-        for (const CompositePart& p : parts) {
-          if (!p.spec.step_ok(vars, s, t)) return;
-        }
-        emit(t);
-      });
-    }
+    for (const ActionSuccessors& walk : walks) walk.for_each_successor(s, emit, &seen);
   };
 
   return StateGraph(vars, init_states, succ, opts);

@@ -10,12 +10,13 @@
 //     (expanded to DNF so it stays executable), v = the union of the
 //     subscripts, L = the union of the fairness conditions.
 //
-//   - `build_composite_graph` explores the conjunction directly: candidate
-//     steps are the union of the parts' next-state actions (every step
-//     allowed by the conjunction that changes a subscript variable of some
-//     part is an action step of that part), filtered by every part's
-//     [N_j]_{v_j}. Hidden variables are explored explicitly (hiding on the
-//     left of an implication is free).
+//   - `build_composite_graph` explores the conjunction directly: every
+//     step allowed by the conjunction that changes a subscript variable of
+//     some part is an action step of that part, so the steps are the union
+//     over the movers m of N_m /\ /\_{j # m} [N_j]_{v_j}, each generated
+//     by one lazy conjunct walk (opentla/graph/walk.hpp). Hidden variables
+//     are explored explicitly (hiding on the left of an implication is
+//     free).
 
 #pragma once
 
@@ -35,15 +36,16 @@ CanonicalSpec conjunction_as_spec(const std::vector<CanonicalSpec>& parts, std::
 /// One conjunct of an explicit composition.
 struct CompositePart {
   CanonicalSpec spec;
-  /// Whether the part's next-state action generates candidate steps. Parts
-  /// whose actions have no executable assignments (e.g. Disjoint, or a
-  /// variable-pinning frame) should be filter-only; candidate steps they
-  /// would allow must then come from other movers or `free_tuples`.
+  /// Whether the part's next-state action starts a walk of its own. Parts
+  /// whose actions never change a variable on their own (e.g. Disjoint, or
+  /// a variable-pinning frame) should be filter-only: they only constrain
+  /// the other walks, and steps they would allow must then come from other
+  /// movers or `free_tuples`.
   bool mover = true;
-  /// Extra variables this part's generator keeps at their current value
-  /// when its action leaves them unconstrained (on top of the graph-wide
-  /// `pinned` list). Used by the interleaving optimization: under a
-  /// Disjoint conjunct, a part's candidates need only vary its own
+  /// Extra variables this part's walk keeps at their current value when
+  /// nothing on a branch binds or constrains them (on top of the
+  /// graph-wide `pinned` list). Used by the interleaving optimization:
+  /// under a Disjoint conjunct, a part's steps need only vary its own
   /// outputs and state.
   std::vector<VarId> extra_pinned;
 
@@ -52,17 +54,16 @@ struct CompositePart {
 };
 
 /// Explores the complete system /\_j parts[j] with hidden variables
-/// explicit. `free_tuples` adds, for each tuple, candidate steps that set
+/// explicit. `free_tuples` adds, for each tuple, the steps that set
 /// the tuple's variables to arbitrary domain values and leave every other
 /// variable unchanged — the "unconstrained environment" moves that a
 /// composition without an environment conjunct permits (within Disjoint).
 /// Throws if some universe variable is in no part's subscript (such a
 /// variable could change arbitrarily at every step; cover it with a part
 /// or pin it).
-/// `pinned` variables are excluded from successor enumeration when a
-/// part's action leaves them unconstrained (use for variables a filter-only
-/// part pins anyway, e.g. a make_pin frame — the enumeration would generate
-/// candidates the pin rejects).
+/// `pinned` variables keep their current value on every branch that
+/// neither binds nor constrains them (use for variables a filter-only part
+/// pins anyway, e.g. a make_pin frame).
 StateGraph build_composite_graph(const VarTable& vars, const std::vector<CompositePart>& parts,
                                  const std::vector<std::vector<VarId>>& free_tuples = {},
                                  const std::vector<VarId>& pinned = {},

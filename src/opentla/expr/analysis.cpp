@@ -63,12 +63,6 @@ std::vector<Expr> flatten_or(const Expr& e) {
   return out;
 }
 
-namespace {
-
-// Tries to turn `conjunct` into zero or more assignments v' = rhs with
-// state-function rhs. Handles <<a', b'>> = <<x, y>> structurally and the
-// symmetric orientation rhs = v'. Returns false if the conjunct is not an
-// assignment shape; `assigns` is unchanged in that case.
 bool match_assignments(const Expr& conjunct, std::vector<std::pair<VarId, Expr>>& assigns) {
   const ExprNode& n = conjunct.node();
   if (n.kind != ExprKind::Eq) return false;
@@ -107,13 +101,12 @@ bool match_assignments(const Expr& conjunct, std::vector<std::pair<VarId, Expr>>
   return true;
 }
 
+namespace {
+
 ActionDisjunct build_disjunct(const Expr& disjunct) {
   ActionDisjunct out;
   std::set<VarId> assigned;
-  // Primed variables of each residual conjunct, collected in the same pass
-  // that classifies the conjunct (one free_vars walk per conjunct; the
-  // needs/unassigned/primed views below are all projections of this).
-  std::vector<std::set<VarId>> per_conjunct_primed;
+  std::set<VarId> residual_primed;
   for (const Expr& c : flatten_and(disjunct)) {
     if (is_state_function(c)) {
       out.guards.push_back(c);
@@ -135,28 +128,13 @@ ActionDisjunct build_disjunct(const Expr& disjunct) {
       // A second constraint on an already-assigned variable: keep it as a
       // residual so it is checked, not silently dropped.
     }
-    per_conjunct_primed.push_back(free_vars(c).primed);
+    const FreeVars fv = free_vars(c);
+    residual_primed.insert(fv.primed.begin(), fv.primed.end());
     out.residual.push_back(c);
-  }
-  std::set<VarId> residual_primed;
-  for (const std::set<VarId>& ps : per_conjunct_primed) {
-    residual_primed.insert(ps.begin(), ps.end());
   }
   out.residual_primed.assign(residual_primed.begin(), residual_primed.end());
   for (VarId v : residual_primed) {
     if (!assigned.contains(v)) out.unassigned_primed.push_back(v);
-  }
-  // Annotate each residual conjunct with the unassigned primed variables it
-  // mentions (ascending: std::set iteration order). Assigned primed
-  // variables are determined before enumeration starts, so they never gate
-  // a conjunct's schedule depth.
-  out.residual_needs.reserve(out.residual.size());
-  for (const std::set<VarId>& ps : per_conjunct_primed) {
-    std::vector<VarId> needs;
-    for (VarId v : ps) {
-      if (!assigned.contains(v)) needs.push_back(v);
-    }
-    out.residual_needs.push_back(std::move(needs));
   }
   return out;
 }
@@ -169,79 +147,6 @@ std::vector<ActionDisjunct> decompose_action(const Expr& action) {
     out.push_back(build_disjunct(d));
   }
   return out;
-}
-
-ResidualSchedule schedule_residual(const std::vector<std::vector<VarId>>& needs,
-                                   const std::vector<VarId>& enumerate) {
-  ResidualSchedule sched;
-  sched.order.reserve(enumerate.size());
-  sched.at_depth.assign(enumerate.size() + 1, {});
-
-  const std::set<VarId> enumerable(enumerate.begin(), enumerate.end());
-  // Unbound enumerated variables each conjunct still waits for; variables
-  // outside `enumerate` are bound in the base state, so they drop out here.
-  std::vector<std::vector<VarId>> waiting(needs.size());
-  for (std::size_t i = 0; i < needs.size(); ++i) {
-    for (VarId v : needs[i]) {
-      if (enumerable.contains(v)) waiting[i].push_back(v);
-    }
-  }
-
-  std::set<VarId> bound;
-  std::vector<char> placed(needs.size(), 0);
-  auto place_ready = [&] {
-    // Every unplaced conjunct whose variables are all bound becomes
-    // checkable at the current depth (index order for determinism).
-    for (std::size_t i = 0; i < needs.size(); ++i) {
-      if (placed[i]) continue;
-      bool ready = true;
-      for (VarId v : waiting[i]) {
-        if (!bound.contains(v)) ready = false;
-      }
-      if (ready) {
-        sched.at_depth[sched.order.size()].push_back(i);
-        placed[i] = 1;
-      }
-    }
-  };
-  place_ready();  // conjuncts with no enumerated variable: depth 0
-
-  while (sched.order.size() < enumerate.size()) {
-    // Greedy: bind the variables of the conjunct that is closest to
-    // becoming checkable (fewest unbound variables; ties by index).
-    std::size_t best = needs.size();
-    std::size_t best_missing = 0;
-    for (std::size_t i = 0; i < needs.size(); ++i) {
-      if (placed[i]) continue;
-      std::size_t missing = 0;
-      for (VarId v : waiting[i]) {
-        if (!bound.contains(v)) ++missing;
-      }
-      if (best == needs.size() || missing < best_missing) {
-        best = i;
-        best_missing = missing;
-      }
-    }
-    if (best == needs.size()) {
-      // No conjunct left: the remaining variables are pure frame
-      // enumeration. Keep them in the caller's order, deepest in the tree.
-      for (VarId v : enumerate) {
-        if (!bound.contains(v)) sched.order.push_back(v);
-      }
-      break;
-    }
-    std::vector<VarId> fresh;
-    for (VarId v : waiting[best]) {
-      if (!bound.contains(v)) fresh.push_back(v);
-    }
-    std::sort(fresh.begin(), fresh.end());
-    for (VarId v : fresh) {
-      sched.order.push_back(v);
-      bound.insert(v);
-    }
-    place_ready();
-  }
-  return sched;
 }
 
 std::optional<Value> fold_constant(const Expr& e) {

@@ -1,11 +1,11 @@
 // opentla/expr/analysis.hpp
 //
 // Syntactic analysis of expressions: free-variable collection, flattening
-// of n-ary connectives, and TLC-style decomposition of a next-state action
-// into disjuncts with guards and explicit assignments. The decomposition is
-// what makes successor generation cheap: instead of enumerating the full
-// next-state space, each disjunct determines most primed variables by
-// evaluating assignment right-hand sides.
+// of n-ary connectives, assignment matching, and the decomposition of a
+// next-state action into top-level disjuncts with guards and explicit
+// assignments (the view lint, footprints and the naive successor oracle
+// use; successor generation itself walks the conjunct lists, see
+// opentla/graph/walk.hpp).
 
 #pragma once
 
@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "opentla/expr/expr.hpp"
-#include "opentla/state/state_space.hpp"
+#include "opentla/state/var_table.hpp"
 
 namespace opentla {
 
@@ -43,7 +43,7 @@ std::vector<Expr> flatten_or(const Expr& e);
 ///     /\ guards  /\ (v' = rhs for each assignment)  /\ residual
 /// where guards mention no primed variable, each assignment's rhs mentions
 /// no primed variable, and `unassigned_primed` lists primed variables that
-/// occur in `residual` but have no assignment (successor generation
+/// occur in `residual` but have no assignment (the naive successor oracle
 /// enumerates their domains). Primed variables that occur nowhere in the
 /// disjunct are unconstrained by it (TLA actions have no frame condition).
 struct ActionDisjunct {
@@ -56,30 +56,17 @@ struct ActionDisjunct {
   /// the disjunct's write set; analysis/footprint.hpp unions it with the
   /// non-frame assignments.
   std::vector<VarId> residual_primed;
-  /// Per residual conjunct: the unassigned primed variables it mentions
-  /// (ascending). residual_needs[i] annotates residual[i]; a conjunct with
-  /// an empty entry is decidable as soon as the assignments are evaluated.
-  /// This is what schedule_residual turns into a pruned-search schedule.
-  std::vector<std::vector<VarId>> residual_needs;
 };
 
 /// Decomposes `action` into executable disjuncts. Always succeeds; in the
 /// worst case a disjunct has no assignments and everything in `residual`.
 std::vector<ActionDisjunct> decompose_action(const Expr& action);
 
-/// Builds the pruned-enumeration schedule for a disjunct's residual over
-/// the variable set `enumerate` (the variables successor generation will
-/// range over; any needed variable outside it is treated as already bound
-/// in the base state). Free variables are ordered greedily so each
-/// residual conjunct becomes checkable at the shallowest possible depth:
-/// the conjunct with the fewest still-unbound variables is bound next
-/// (ties by conjunct index, variables in ascending VarId order), and
-/// variables no conjunct needs go last — they are pure frame enumeration
-/// and only run under bindings the residual has already accepted. The
-/// result is a pure function of (needs, enumerate): deterministic, so the
-/// serial/parallel bit-identity contract survives.
-ResidualSchedule schedule_residual(const std::vector<std::vector<VarId>>& needs,
-                                   const std::vector<VarId>& enumerate);
+/// Matches an assignment conjunct: v' = e, or <<v1', ..., vk'>> = <<e1,
+/// ..., ek>> of equal arity, in either orientation, with state-function
+/// right-hand sides. Appends the (variable, rhs) pairs and returns true;
+/// returns false and leaves `assigns` unchanged for any other shape.
+bool match_assignments(const Expr& conjunct, std::vector<std::pair<VarId, Expr>>& assigns);
 
 /// Structural equality of expression trees (same shape, same leaves).
 /// Used for syntactic side conditions such as Proposition 1's "A implies N"

@@ -3,8 +3,7 @@
 #include <cstdint>
 #include <stdexcept>
 
-#include "opentla/expr/analysis.hpp"
-#include "opentla/state/state_space.hpp"
+#include "opentla/graph/walk.hpp"
 
 namespace opentla {
 
@@ -20,13 +19,6 @@ std::int64_t as_int(const Expr& e, EvalContext& ctx) { return eval(e, ctx).as_in
 struct LocalScope {
   std::vector<std::pair<std::string, Value>>* locals;
   ~LocalScope() { locals->pop_back(); }
-};
-
-// Restores ctx.next on scope exit (ENABLED re-points it at candidate states).
-struct NextRestore {
-  EvalContext* ctx;
-  const State* saved;
-  ~NextRestore() { ctx->next = saved; }
 };
 }  // namespace
 
@@ -280,51 +272,15 @@ bool enabled_with_locals(const Expr& action, EvalContext& ctx) {
   if (ctx.vars == nullptr || ctx.current == nullptr) {
     eval_error("ENABLED requires a VarTable and a current state");
   }
-  const VarTable& vars = *ctx.vars;
-  const State& s = *ctx.current;
-  StateSpace space(vars);
-  NextRestore restore{&ctx, ctx.next};
-  for (const ActionDisjunct& d : decompose_action(action)) {
-    // Guards and assignment right-hand sides are state functions of s.
-    ctx.next = nullptr;
-
-    bool feasible = true;
-    for (const Expr& g : d.guards) {
-      if (!eval_bool(g, ctx)) {
-        feasible = false;
-        break;
-      }
-    }
-    if (!feasible) continue;
-
-    State t = s;
-    for (const auto& [v, rhs] : d.assignments) {
-      Value val = eval(rhs, ctx);
-      if (!vars.domain(v).contains(val)) {
-        feasible = false;  // the required successor lies outside the space
-        break;
-      }
-      t[v] = val;
-    }
-    if (!feasible) continue;
-
-    if (d.residual.empty()) return true;
-
-    // Pruned existential search: a residual conjunct is evaluated as soon
-    // as its last unassigned primed variable is bound, and the first leaf
-    // that survives every check is a witness — stop immediately.
-    const ResidualSchedule sched =
-        schedule_residual(d.residual_needs, d.unassigned_primed);
-    const bool witness = space.for_each_completion_pruned(
-        t, sched,
-        [&](std::size_t i, const State& cand) {
-          ctx.next = &cand;
-          return eval_bool(d.residual[i], ctx);
-        },
-        [](const State&) { return true; });
-    if (witness) return true;
-  }
-  return false;
+  // The existential conjunct walk, on the tree evaluator so the action
+  // sees the outer bound variables: the first branch whose bindings and
+  // constraints admit a next state is a witness.
+  const ConjunctWalk walk(*ctx.vars, action, ConjunctWalk::Evaluator::kTree);
+  ConjunctWalk::Query q;
+  q.current = ctx.current;
+  q.existential = true;
+  q.tree_ctx = &ctx;
+  return walk.run(q, [](const State&) { return true; });
 }
 
 }  // namespace opentla

@@ -44,7 +44,8 @@ bool eval_action(const Expr& e, const VarTable& vars, const State& s, const Stat
 
 /// ENABLED A at state s: true iff some state t over `vars` (differing from
 /// s only on the primed variables occurring in A) makes <s, t> an A step.
-/// Uses the action decomposition to avoid blind enumeration where possible.
+/// Runs the existential conjunct walk (opentla/graph/walk.hpp), so only
+/// variables nothing on a branch determines are ever enumerated.
 ///
 /// Note: in this explicit-state engine ENABLED quantifies the next state
 /// over the declared finite domains; an action whose assignments would

@@ -52,8 +52,8 @@ enum class Counter : std::size_t {
   ParStatesExpanded,       // states expanded by parallel exploration workers
   ParSteals,               // work items stolen from another worker's deque
   ParShardContention,      // seen-set shard locks that were contended
-  CompletionsPruned,       // completions skipped by residual subtree cuts
-  ResidualEarlyCuts,       // residual conjuncts that failed before full depth
+  CompletionsPruned,       // domain values the successor walk tried and rejected
+  ResidualEarlyCuts,       // of those, rejections that cut a whole subtree
   AnalysisPairsIndependent,  // action pairs the static matrix proves commute
   AnalysisPairsDependent,    // action pairs left dependent (incl. fallback)
   BudgetStops,             // run-budget breaches latched (RunBudget::request_stop)

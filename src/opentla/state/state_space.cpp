@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "opentla/obs/obs.hpp"
 
 namespace opentla {
 
@@ -54,65 +53,6 @@ bool StateSpace::for_each_completion(const State& base, const std::vector<VarId>
       cur[v] = vars_->domain(v)[0];
     }
     if (pos == free_vars.size()) return false;
-  }
-}
-
-bool StateSpace::for_each_completion_pruned(
-    const State& base, const ResidualSchedule& sched,
-    const std::function<bool(std::size_t, const State&)>& check,
-    const std::function<bool(const State&)>& fn) const {
-  const std::size_t k = sched.order.size();
-  State cur = base;
-
-  // suffix[d] = number of completions below depth d (product of the domain
-  // sizes of order[d..k-1]), saturated at UINT64_MAX. Used only for the
-  // completions_pruned accounting.
-  std::vector<std::uint64_t> suffix(k + 1, 1);
-  for (std::size_t d = k; d-- > 0;) {
-    const std::uint64_t dom = vars_->domain(sched.order[d]).size();
-    suffix[d] = (dom != 0 && suffix[d + 1] > UINT64_MAX / dom) ? UINT64_MAX
-                                                               : suffix[d + 1] * dom;
-  }
-
-  // Depth-0 checks need no enumerated variable: a failure prunes the whole
-  // completion space of this call.
-  for (std::size_t i : sched.at_depth[0]) {
-    if (!check(i, cur)) {
-      OPENTLA_OBS_COUNT(ResidualEarlyCuts);
-      OPENTLA_OBS_COUNT_N(CompletionsPruned, suffix[0]);
-      return false;
-    }
-  }
-
-  // Iterative DFS: depth d picks a value for order[d], then runs the checks
-  // that just became decidable. `idx[d]` is the next domain index to try.
-  std::vector<std::size_t> idx(k, 0);
-  std::size_t d = 0;
-  if (k == 0) return fn(cur);
-  while (true) {
-    if (idx[d] == vars_->domain(sched.order[d]).size()) {
-      // Exhausted this level; pop.
-      idx[d] = 0;
-      if (d == 0) return false;
-      --d;
-      continue;
-    }
-    cur[sched.order[d]] = vars_->domain(sched.order[d])[idx[d]++];
-    bool cut = false;
-    for (std::size_t i : sched.at_depth[d + 1]) {
-      if (!check(i, cur)) {
-        OPENTLA_OBS_COUNT(ResidualEarlyCuts);
-        OPENTLA_OBS_COUNT_N(CompletionsPruned, suffix[d + 1]);
-        cut = true;
-        break;
-      }
-    }
-    if (cut) continue;
-    if (d + 1 == k) {
-      if (fn(cur)) return true;
-    } else {
-      ++d;
-    }
   }
 }
 

@@ -69,8 +69,8 @@ enum class Op : std::uint8_t {
   // already in registers r[a..a+imm) (lhs) and r[b..b+imm) (rhs);
   // r[dst] = pairwise equality. kNegate gives /=.
   TupleEq,
-  // Fused comparisons — the residual-conjunct shapes (x' = e, d' < c')
-  // that dominate pruned successor search. flags carry the comparison kind
+  // Fused comparisons — the constraint shapes (x' = e, d' < c') that
+  // dominate the successor walk's checks. flags carry the comparison kind
   // (kCmpMask) plus kPrimedA/kPrimedB; `a` (and `b` for CmpVarVar) are
   // VarIds, CmpVarConst compares against consts[imm]. Order/type errors
   // are identical to LoadVar + LoadConst + compare.

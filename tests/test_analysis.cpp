@@ -222,64 +222,6 @@ TEST_F(AnalysisTest, FoldConstantRefusesOverflowAndBadMod) {
   EXPECT_EQ(fold_constant(ex::mod(ex::integer(-3), ex::integer(2)))->as_int(), 1);
 }
 
-TEST_F(AnalysisTest, ResidualNeedsAnnotatesUnassignedPrimedVars) {
-  // x' = x + 1 /\ y' # y /\ y' # x': residual conjuncts annotated with the
-  // unassigned primed variables they mention (x' is assigned, so only y').
-  Expr act = ex::land({ex::eq(ex::primed_var(x), ex::add(ex::var(x), ex::integer(1))),
-                       ex::neq(ex::primed_var(y), ex::var(y)),
-                       ex::neq(ex::primed_var(y), ex::primed_var(x))});
-  std::vector<ActionDisjunct> ds = decompose_action(act);
-  ASSERT_EQ(ds.size(), 1u);
-  ASSERT_EQ(ds[0].residual.size(), 2u);
-  ASSERT_EQ(ds[0].residual_needs.size(), 2u);
-  EXPECT_EQ(ds[0].residual_needs[0], (std::vector<VarId>{y}));
-  EXPECT_EQ(ds[0].residual_needs[1], (std::vector<VarId>{y}));
-}
-
-TEST_F(AnalysisTest, ScheduleResidualOrdersCheapConjunctsFirst) {
-  VarId z = vars.declare("z", range_domain(0, 1));
-  // Conjunct 0 needs {y, z}; conjunct 1 needs {x}; conjunct 2 needs {}.
-  const std::vector<std::vector<VarId>> needs = {{y, z}, {x}, {}};
-  ResidualSchedule sched = schedule_residual(needs, {x, y, z});
-  // Conjunct 2 is decidable with nothing bound; conjunct 1 after one
-  // variable (x); conjunct 0 after binding y and z.
-  EXPECT_EQ(sched.order, (std::vector<VarId>{x, y, z}));
-  ASSERT_EQ(sched.at_depth.size(), 4u);
-  EXPECT_EQ(sched.at_depth[0], (std::vector<std::size_t>{2}));
-  EXPECT_EQ(sched.at_depth[1], (std::vector<std::size_t>{1}));
-  EXPECT_TRUE(sched.at_depth[2].empty());
-  EXPECT_EQ(sched.at_depth[3], (std::vector<std::size_t>{0}));
-}
-
-TEST_F(AnalysisTest, ScheduleResidualPutsFrameVariablesLast) {
-  VarId z = vars.declare("z", range_domain(0, 1));
-  // Only conjunct 0 constrains anything ({y}); x and z are pure frame
-  // enumeration and must come after y so they only run under accepted
-  // bindings.
-  ResidualSchedule sched = schedule_residual({{y}}, {x, y, z});
-  ASSERT_EQ(sched.order.size(), 3u);
-  EXPECT_EQ(sched.order[0], y);
-  EXPECT_EQ(sched.at_depth[1], (std::vector<std::size_t>{0}));
-  // Frame variables keep the caller's relative order.
-  EXPECT_EQ(sched.order[1], x);
-  EXPECT_EQ(sched.order[2], z);
-}
-
-TEST_F(AnalysisTest, ScheduleResidualTreatsExternalVarsAsBound) {
-  // A conjunct needing a variable outside `enumerate` (bound by the caller)
-  // is scheduled at the depth where its in-set variables complete.
-  ResidualSchedule sched = schedule_residual({{x, y}}, {y});
-  EXPECT_EQ(sched.order, (std::vector<VarId>{y}));
-  EXPECT_TRUE(sched.at_depth[0].empty());
-  EXPECT_EQ(sched.at_depth[1], (std::vector<std::size_t>{0}));
-
-  // With no needed variable in the set at all, the check runs at depth 0.
-  ResidualSchedule none = schedule_residual({{x}}, {});
-  EXPECT_TRUE(none.order.empty());
-  ASSERT_EQ(none.at_depth.size(), 1u);
-  EXPECT_EQ(none.at_depth[0], (std::vector<std::size_t>{0}));
-}
-
 TEST_F(AnalysisTest, ResidualPrimedCoversAssignedVarsInResidual) {
   // x' = x + 1 /\ y' # x': x' is assigned AND occurs in the residual, so
   // residual_primed = {x, y} while unassigned_primed = {y}. Footprint
@@ -296,50 +238,6 @@ TEST_F(AnalysisTest, ResidualPrimedCoversAssignedVarsInResidual) {
       decompose_action(ex::eq(ex::primed_var(x), ex::integer(0)));
   ASSERT_EQ(plain.size(), 1u);
   EXPECT_TRUE(plain[0].residual_primed.empty());
-}
-
-TEST_F(AnalysisTest, ScheduleResidualEmptyResidualKeepsEnumerateOrder) {
-  // No residual conjuncts at all: pure frame enumeration in the caller's
-  // order, with nothing to check at any depth.
-  ResidualSchedule sched = schedule_residual({}, {y, x});
-  EXPECT_EQ(sched.order, (std::vector<VarId>{y, x}));
-  ASSERT_EQ(sched.at_depth.size(), 3u);
-  for (const std::vector<std::size_t>& checks : sched.at_depth) {
-    EXPECT_TRUE(checks.empty());
-  }
-}
-
-TEST_F(AnalysisTest, ScheduleResidualSameVariableTieBreaksByIndex) {
-  // Two conjuncts need the same variable; the greedy scheduler must place
-  // both at the depth where it binds, in conjunct-index order, before
-  // moving on to the other variable.
-  const std::vector<std::vector<VarId>> needs = {{y}, {y}, {x}};
-  ResidualSchedule sched = schedule_residual(needs, {x, y});
-  EXPECT_EQ(sched.order, (std::vector<VarId>{y, x}));
-  ASSERT_EQ(sched.at_depth.size(), 3u);
-  EXPECT_TRUE(sched.at_depth[0].empty());
-  EXPECT_EQ(sched.at_depth[1], (std::vector<std::size_t>{0, 1}));
-  EXPECT_EQ(sched.at_depth[2], (std::vector<std::size_t>{2}));
-}
-
-TEST_F(AnalysisTest, ScheduleResidualZeroVariableConjunctRunsAtDepthZero) {
-  // A residual conjunct over no primed variables (e.g. a pure guard that
-  // survived into the residual) is decided before any enumeration.
-  ResidualSchedule sched = schedule_residual({{}}, {x, y});
-  EXPECT_EQ(sched.order, (std::vector<VarId>{x, y}));
-  ASSERT_EQ(sched.at_depth.size(), 3u);
-  EXPECT_EQ(sched.at_depth[0], (std::vector<std::size_t>{0}));
-  EXPECT_TRUE(sched.at_depth[1].empty());
-  EXPECT_TRUE(sched.at_depth[2].empty());
-}
-
-TEST_F(AnalysisTest, ScheduleResidualIsDeterministic) {
-  VarId z = vars.declare("z", range_domain(0, 1));
-  const std::vector<std::vector<VarId>> needs = {{y, z}, {x}, {}, {y}};
-  ResidualSchedule a = schedule_residual(needs, {x, y, z});
-  ResidualSchedule b = schedule_residual(needs, {x, y, z});
-  EXPECT_EQ(a.order, b.order);
-  EXPECT_EQ(a.at_depth, b.at_depth);
 }
 
 TEST_F(AnalysisTest, StructuralEquality) {

@@ -375,71 +375,5 @@ TEST(StateSpace, CompletionStopsWhenCallbackReturnsTrue) {
   EXPECT_EQ(count, 10);
 }
 
-TEST(StateSpace, PrunedCompletionCutsSubtreesAndPreservesOdometerOrder) {
-  VarTable vars;
-  VarId x = vars.declare("x", range_domain(0, 2));
-  VarId y = vars.declare("y", range_domain(0, 2));
-  StateSpace space(vars);
-
-  // Schedule: assign x at depth 0, y at depth 1; check 0 (x != 1) becomes
-  // decidable once x is bound, check 1 (y != 0) once y is bound.
-  ResidualSchedule sched;
-  sched.order = {x, y};
-  sched.at_depth = {{}, {0}, {1}};
-
-  std::vector<std::pair<std::int64_t, std::int64_t>> leaves;
-  int x_checks = 0;
-  const bool stopped = space.for_each_completion_pruned(
-      space.first_state(), sched,
-      [&](std::size_t i, const State& s) {
-        if (i == 0) {
-          ++x_checks;
-          return s[x].as_int() != 1;
-        }
-        return s[y].as_int() != 0;
-      },
-      [&](const State& s) {
-        leaves.emplace_back(s[x].as_int(), s[y].as_int());
-        return false;
-      });
-  EXPECT_FALSE(stopped);
-  // x = 1 is cut before y is ever enumerated, so the x-check runs three
-  // times (once per x value) and the x = 1 subtree contributes no leaves.
-  EXPECT_EQ(x_checks, 3);
-  const std::vector<std::pair<std::int64_t, std::int64_t>> want = {
-      {0, 1}, {0, 2}, {2, 1}, {2, 2}};
-  // Leaves appear in the flat odometer order over reversed(order) = {y, x}
-  // (y fastest), restricted to the survivors — pruning never reorders.
-  EXPECT_EQ(leaves, want);
-}
-
-TEST(StateSpace, PrunedCompletionDepthZeroCutAndEarlyStop) {
-  VarTable vars;
-  VarId x = vars.declare("x", range_domain(0, 4));
-  StateSpace space(vars);
-  ResidualSchedule sched;
-  sched.order = {x};
-  sched.at_depth = {{0}, {}};
-
-  int calls = 0;
-  // A failing depth-0 check prunes everything before any enumeration.
-  EXPECT_FALSE(space.for_each_completion_pruned(
-      space.first_state(), sched, [](std::size_t, const State&) { return false; },
-      [&](const State&) {
-        ++calls;
-        return false;
-      }));
-  EXPECT_EQ(calls, 0);
-
-  // The leaf callback can stop the search; the return value reports it.
-  EXPECT_TRUE(space.for_each_completion_pruned(
-      space.first_state(), sched, [](std::size_t, const State&) { return true; },
-      [&](const State&) {
-        ++calls;
-        return calls == 2;
-      }));
-  EXPECT_EQ(calls, 2);
-}
-
 }  // namespace
 }  // namespace opentla
