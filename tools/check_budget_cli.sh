@@ -13,7 +13,10 @@
 #   4. (obs-on) SIGTERM during a recorded run ends in exit 3 with
 #      `stop_reason: "interrupted"` and a written dump;
 #   5. (obs-on) --run-ledger appends one line per run, schema-valid
-#      against tools/ledger_schema.json, with the breach's stop reason.
+#      against tools/ledger_schema.json, with the breach's stop reason;
+#   6. a malformed numeric flag (--max-states, --threads, --spill-at,
+#      --steps, --seed, --serve-metrics, --state-bound) exits 2 with
+#      "error: FLAG expects a non-negative integer..., got 'TEXT'".
 #
 # Budget flags themselves (--deadline-ms/--rss-limit-mb/--max-states) must
 # work in OPENTLA_OBS=OFF builds; in --obs-off mode the recorder/ledger
@@ -58,6 +61,36 @@ for t in 1 2 4; do
   counts="$counts $n"
 done
 echo "ok: state budget stops at the same count across threads:$counts"
+
+# --- 6. Malformed numeric flags: exit 2 naming the flag and the text. ---
+
+bad_flag() {
+  local want="$1"
+  shift
+  local rc=0
+  "$tlacheck" "$@" >/dev/null 2>err.txt || rc=$?
+  [ "$rc" -eq 2 ] || fail "'$*': expected exit 2, got $rc"
+  grep -qF -- "$want" err.txt || fail "'$*': expected '$want' on stderr, got: $(cat err.txt)"
+}
+bad_flag "error: --threads expects a non-negative integer, got '-3'" \
+  states "$specs/counter.tla" --threads -3
+bad_flag "error: --threads expects a non-negative integer at most 1024, got '4294967293'" \
+  states "$specs/counter.tla" --threads 4294967293
+bad_flag "error: --max-states expects a non-negative integer, got 'banana'" \
+  states "$specs/counter.tla" --max-states banana
+bad_flag "error: --max-states expects a non-negative integer, got '99999999999999999999'" \
+  states "$specs/counter.tla" --max-states 99999999999999999999
+bad_flag "error: --spill-at expects a non-negative integer, got '1e6'" \
+  states "$specs/counter.tla" --spill-at 1e6
+bad_flag "error: --steps expects a non-negative integer, got ''" \
+  simulate "$specs/counter.tla" --steps ''
+bad_flag "error: --seed expects a non-negative integer at most 4294967295, got '4294967296'" \
+  simulate "$specs/counter.tla" --seed 4294967296
+bad_flag "error: --serve-metrics expects a non-negative integer at most 65535, got '65536'" \
+  states "$specs/counter.tla" --serve-metrics 65536
+bad_flag "error: --state-bound expects a non-negative integer, got '+5'" \
+  lint "$specs/counter.tla" --state-bound +5
+echo "ok: malformed numeric flags exit 2 with the flag's message"
 
 # A generous budget must not trigger (exit 0, no stop_reason line).
 rc=0

@@ -113,8 +113,11 @@
 //      exits 1 — counterexamples on partial graphs are real)
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
+#include <limits>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -149,6 +152,30 @@ using namespace opentla;
 
 namespace {
 
+/// Most workers --threads accepts.
+constexpr std::uint64_t kMaxThreads = 1024;
+
+/// The value of a numeric flag: digits only, at most `max`. Anything else
+/// (a sign, a suffix, an empty string, an out-of-range number) is a usage
+/// error naming the flag and the text, which main reports with exit 2.
+std::uint64_t parse_count(const std::string& flag, const std::string& text,
+                          std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+  std::uint64_t value = 0;
+  const char* end = text.data() + text.size();
+  const bool digits = !text.empty() && std::all_of(text.begin(), text.end(), [](char c) {
+    return c >= '0' && c <= '9';
+  });
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (!digits || ec != std::errc() || ptr != end || value > max) {
+    std::string expects = flag + " expects a non-negative integer";
+    if (digits && max != std::numeric_limits<std::uint64_t>::max()) {
+      expects += " at most " + std::to_string(max);
+    }
+    throw std::runtime_error(expects + ", got '" + text + "'");
+  }
+  return value;
+}
+
 int usage() {
   std::cerr
       << "usage: tlacheck info|states|check|closure|deadlock|simulate|coverage SPEC.tla\n"
@@ -164,8 +191,8 @@ int usage() {
          "       tlacheck profile SUBCOMMAND ARGS... [--format human|json|trace|folded]\n"
          "                [--out FILE] [--top N] [--sample-hz N]\n"
          "options: --invariant EXPR   --dump   --max-states N   --steps N   --seed S\n"
-         "         --threads N (exploration workers; 1 = serial, 0 = hardware\n"
-         "         concurrency; the graph is identical for every N)\n"
+         "         --threads N (exploration workers, at most 1024; 1 = serial,\n"
+         "         0 = hardware concurrency; the graph is identical for every N)\n"
          "         --spill-at BYTES (state-store resident budget: past it, sealed\n"
          "         arena segments spill to mmap-backed temp files; the graph is\n"
          "         identical spill on or off; 0 = never, the default)\n"
@@ -859,19 +886,25 @@ int main(int argc, char** argv) {
     } else if (args[i] == "--dump") {
       dump = true;
     } else if (args[i] == "--max-states" && i + 1 < args.size()) {
-      max_states = std::stoull(args[++i]);
+      max_states = parse_count(args[i], args[i + 1]);
+      ++i;
     } else if (args[i] == "--threads" && i + 1 < args.size()) {
-      threads = static_cast<unsigned>(std::stoul(args[++i]));
+      threads = static_cast<unsigned>(parse_count(args[i], args[i + 1], kMaxThreads));
+      ++i;
     } else if (args[i] == "--spill-at" && i + 1 < args.size()) {
-      spill_at = std::stoull(args[++i]);
+      spill_at = parse_count(args[i], args[i + 1]);
+      ++i;
     } else if (args[i] == "--from" && i + 1 < args.size()) {
       from_src = args[++i];
     } else if (args[i] == "--to" && i + 1 < args.size()) {
       to_src = args[++i];
     } else if (args[i] == "--steps" && i + 1 < args.size()) {
-      steps = std::stoull(args[++i]);
+      steps = parse_count(args[i], args[i + 1]);
+      ++i;
     } else if (args[i] == "--seed" && i + 1 < args.size()) {
-      seed = static_cast<unsigned>(std::stoul(args[++i]));
+      seed = static_cast<unsigned>(
+          parse_count(args[i], args[i + 1], std::numeric_limits<unsigned>::max()));
+      ++i;
     } else if (args[i] == "--format" && i + 1 < args.size()) {
       format = args[++i];
       // "trace" (Chrome trace_event) and "folded" (collapsed stacks for
@@ -911,8 +944,8 @@ int main(int argc, char** argv) {
     } else if (args[i] == "--flight-out" && i + 1 < args.size()) {
       flight_out = args[++i];
     } else if (args[i] == "--serve-metrics" && i + 1 < args.size()) {
-      serve_port = std::stoi(args[++i]);
-      if (serve_port < 0 || serve_port > 65535) return usage();
+      serve_port = static_cast<int>(parse_count(args[i], args[i + 1], 65535));
+      ++i;
     } else if (args[i] == "--serve-hold-ms" && i + 1 < args.size()) {
       serve_hold_ms = std::stol(args[++i]);
       if (serve_hold_ms < 0) return usage();
@@ -929,7 +962,8 @@ int main(int argc, char** argv) {
     } else if (args[i] == "--footprints") {
       want_footprints = true;
     } else if (args[i] == "--state-bound" && i + 1 < args.size()) {
-      lint_opts.state_bound = std::stoull(args[++i]);
+      lint_opts.state_bound = parse_count(args[i], args[i + 1]);
+      ++i;
     } else if (args[i] == "--witness" && i + 1 < args.size()) {
       const std::string w = args[++i];
       const std::size_t eq = w.find('=');
