@@ -47,6 +47,11 @@ void profiler_pop_frame();
 /// Snapshot of the interned span-name table (index = name id).
 std::vector<std::string> profiler_name_table();
 
+/// Number of span stacks ever allocated. A thread's stack returns to a
+/// free list when the thread exits and the next new thread reuses it, so
+/// this is bounded by the peak number of live threads that opened spans.
+std::size_t profiler_stack_count();
+
 /// Drop interned names and reset per-thread stacks' visibility — called
 /// by obs::reset(). Live stacks keep their depth (RAII spans will pop
 /// back to zero); only the name table is cleared.
