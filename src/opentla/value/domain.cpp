@@ -7,7 +7,7 @@
 namespace opentla {
 
 Domain::Domain(std::vector<Value> values) : values_(std::move(values)) {
-  std::sort(values_.begin(), values_.end());
+  if (!std::is_sorted(values_.begin(), values_.end())) std::sort(values_.begin(), values_.end());
   values_.erase(std::unique(values_.begin(), values_.end()), values_.end());
 }
 
@@ -48,21 +48,21 @@ Domain range_domain(std::int64_t lo, std::int64_t hi) {
 }
 
 Domain seq_domain(const Domain& elems, std::size_t max_len) {
+  // Depth first, elements in domain order: every sequence comes right
+  // after its prefix and before the next element's subtree, which is
+  // exactly the sorted order, so the Domain has nothing left to sort.
   std::vector<Value> out;
-  std::vector<Value> frontier = {Value::empty_seq()};
-  out.push_back(Value::empty_seq());
-  for (std::size_t len = 1; len <= max_len; ++len) {
-    std::vector<Value> next;
-    next.reserve(frontier.size() * elems.size());
-    for (const Value& seq : frontier) {
-      for (const Value& e : elems.values()) {
-        Value extended = seq_append(seq, e);
-        out.push_back(extended);
-        next.push_back(std::move(extended));
-      }
+  Value::Tuple prefix;
+  const auto extend = [&](const auto& self) -> void {
+    out.push_back(Value::tuple(prefix));
+    if (prefix.size() == max_len) return;
+    for (const Value& e : elems.values()) {
+      prefix.push_back(e);
+      self(self);
+      prefix.pop_back();
     }
-    frontier = std::move(next);
-  }
+  };
+  extend(extend);
   return Domain(std::move(out));
 }
 

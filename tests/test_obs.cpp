@@ -824,8 +824,8 @@ TEST_F(ObsTest, CountingAllocatorChargesContainerBlocks) {
     std::deque<int, obs::CountingAllocator<int>> q{
         obs::CountingAllocator<int>(obs::MemDomain::Frontier)};
     for (int i = 0; i < 1000; ++i) q.push_back(i);
-    const obs::MemDomainSnapshot& ms =
-        obs::snapshot().mem_domain(obs::MemDomain::Frontier);
+    const obs::Snapshot snap = obs::snapshot();
+    const obs::MemDomainSnapshot& ms = snap.mem_domain(obs::MemDomain::Frontier);
     EXPECT_GE(ms.live_bytes, 1000u * sizeof(int));
     EXPECT_GT(ms.allocs, 0u);
   }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include <unordered_set>
 
 #include "opentla/value/domain.hpp"
@@ -143,6 +145,12 @@ TEST(Domain, SeqDomainCountsAllLengths) {
   EXPECT_TRUE(d.contains(Value::tuple({Value::integer(1), Value::integer(0)})));
   EXPECT_FALSE(d.contains(Value::tuple(
       {Value::integer(0), Value::integer(0), Value::integer(0), Value::integer(0)})));
+  // The same values in the same (sorted) order as a domain built from the
+  // sequences listed out of order.
+  std::vector<Value> listed;
+  for (std::size_t i = d.size(); i-- > 0;) listed.push_back(d[i]);
+  EXPECT_EQ(d, Domain(std::move(listed)));
+  EXPECT_TRUE(std::is_sorted(d.values().begin(), d.values().end()));
 }
 
 TEST(Domain, TupleDomainIsCartesianProduct) {
