@@ -64,13 +64,29 @@ void adopt_verdict(Obligation& ob, const ConstraintExplorer::Verdict& verdict) {
   }
 }
 
-Mover free_tuple_mover(const VarTable& vars, const std::vector<VarId>& tuple) {
+/// The [N]_v of each spec without hidden variables, in order. A constraint
+/// machine over such a spec accepts a step exactly when its [N]_v holds,
+/// so movers walk under these (see mover_from_spec) and never generate a
+/// candidate that machine would reject.
+std::vector<Expr> visible_steps(const std::vector<const CanonicalSpec*>& specs) {
+  std::vector<Expr> steps;
+  for (const CanonicalSpec* spec : specs) {
+    if (!spec->has_hidden()) steps.push_back(spec->box_step_action());
+  }
+  return steps;
+}
+
+Mover free_tuple_mover(const VarTable& vars, const std::vector<VarId>& tuple,
+                       const std::vector<Expr>& steps) {
   std::vector<VarId> complement;
   for (VarId v = 0; v < vars.size(); ++v) {
     if (std::find(tuple.begin(), tuple.end(), v) == tuple.end()) complement.push_back(v);
   }
+  std::vector<Expr> action = {ex::unchanged(complement)};
+  action.insert(action.end(), steps.begin(), steps.end());
   Mover m;
-  m.generator = std::make_shared<ActionSuccessors>(vars, ex::unchanged(complement));
+  m.generator = std::make_shared<ActionSuccessors>(
+      vars, steps.empty() ? action[0] : ex::land(std::move(action)));
   m.machine_index = -1;
   m.label = "free-move";
   return m;
@@ -196,13 +212,14 @@ ProofReport verify_composition(const VarTable& vars, const std::vector<AGSpec>& 
     return pinned;
   };
 
-  auto build_movers = [&]() {
+  // `steps`: the visible_steps of the explorer's constraint specs.
+  auto build_movers = [&](const std::vector<Expr>& steps) {
     std::vector<Mover> movers;
     std::set<VarId> covered;
     if (!is_trivial_spec(goal.assumption) && !goal.assumption.sub.empty()) {
       movers.push_back(mover_from_spec(
           vars, goal.assumption, 0,
-          pinned_for(opts.env_outputs, goal.assumption.hidden)));
+          pinned_for(opts.env_outputs, goal.assumption.hidden), steps));
       covered.insert(goal.assumption.sub.begin(), goal.assumption.sub.end());
     }
     for (std::size_t j = 0; j < components.size(); ++j) {
@@ -211,11 +228,11 @@ ProofReport verify_composition(const VarTable& vars, const std::vector<AGSpec>& 
           j < opts.component_outputs.size() ? opts.component_outputs[j]
                                             : std::vector<VarId>{};
       movers.push_back(mover_from_spec(vars, closures[j], static_cast<int>(1 + j),
-                                       pinned_for(outputs, closures[j].hidden)));
+                                       pinned_for(outputs, closures[j].hidden), steps));
       covered.insert(closures[j].sub.begin(), closures[j].sub.end());
     }
     for (const std::vector<VarId>& tuple : opts.free_tuples) {
-      movers.push_back(free_tuple_mover(vars, tuple));
+      movers.push_back(free_tuple_mover(vars, tuple, steps));
       covered.insert(tuple.begin(), tuple.end());
     }
     // Relevant visible variables no mover writes are unconstrained by the
@@ -229,7 +246,7 @@ ProofReport verify_composition(const VarTable& vars, const std::vector<AGSpec>& 
         uncovered.push_back(v);
       }
     }
-    if (!uncovered.empty()) movers.push_back(free_tuple_mover(vars, uncovered));
+    if (!uncovered.empty()) movers.push_back(free_tuple_mover(vars, uncovered, steps));
     return movers;
   };
 
@@ -242,12 +259,14 @@ ProofReport verify_composition(const VarTable& vars, const std::vector<AGSpec>& 
     OPENTLA_OBS_SPAN("fig9:2.1");
     OPENTLA_OBS_PHASE("fig9:2.1");
     std::vector<std::shared_ptr<const SafetyMachine>> constraints;
+    std::vector<const CanonicalSpec*> constraint_specs = {&goal.assumption};
     constraints.push_back(std::make_shared<PrefixMachine>(vars, goal.assumption));
     for (const CanonicalSpec& c : closures) {
       constraints.push_back(std::make_shared<PrefixMachine>(vars, c));
+      constraint_specs.push_back(&c);
     }
-    ConstraintExplorer explorer(vars, constraints, build_movers(), init_enum, normalize,
-                                opts.max_nodes, opts.budget);
+    ConstraintExplorer explorer(vars, constraints, build_movers(visible_steps(constraint_specs)),
+                                init_enum, normalize, opts.max_nodes, opts.budget);
     for (std::size_t i = 0; i < components.size(); ++i) {
       OPENTLA_OBS_SPAN("fig9:2.1." + std::to_string(i + 1));
       Obligation ob;
@@ -300,17 +319,22 @@ ProofReport verify_composition(const VarTable& vars, const std::vector<AGSpec>& 
       std::vector<std::shared_ptr<const SafetyMachine>> constraints;
       constraints.push_back(std::make_shared<FreezeMachine>(
           std::make_shared<PrefixMachine>(vars, goal.assumption), plus_v));
+      // The frozen C(E) is not a prefix machine over E: only the closures
+      // constrain the movers' walks.
+      std::vector<const CanonicalSpec*> constraint_specs;
       for (const CanonicalSpec& c : closures) {
         constraints.push_back(std::make_shared<PrefixMachine>(vars, c));
+        constraint_specs.push_back(&c);
       }
-      std::vector<Mover> movers = build_movers();
+      const std::vector<Expr> steps = visible_steps(constraint_specs);
+      std::vector<Mover> movers = build_movers(steps);
       // After E fails, variables outside v may still change freely.
       std::vector<VarId> unfrozen;
       for (VarId v = 0; v < vars.size(); ++v) {
         if (hidden_set.contains(v) || !relevant.contains(v)) continue;
         if (std::find(plus_v.begin(), plus_v.end(), v) == plus_v.end()) unfrozen.push_back(v);
       }
-      if (!unfrozen.empty()) movers.push_back(free_tuple_mover(vars, unfrozen));
+      if (!unfrozen.empty()) movers.push_back(free_tuple_mover(vars, unfrozen, steps));
 
       ConstraintExplorer explorer(vars, constraints, std::move(movers), init_enum, normalize,
                                   opts.max_nodes, opts.budget);
@@ -573,17 +597,21 @@ std::vector<Obligation> discharge_h2a_via_prop3(const VarTable& vars,
       OPENTLA_OBS_PHASE("prop3:2.2");
       ObligationTimer timer(ob);
       std::vector<std::shared_ptr<const SafetyMachine>> constraints;
+      std::vector<const CanonicalSpec*> constraint_specs = {&goal.assumption};
       constraints.push_back(std::make_shared<PrefixMachine>(vars, goal.assumption));
       for (const CanonicalSpec& c : closures) {
         constraints.push_back(std::make_shared<PrefixMachine>(vars, c));
+        constraint_specs.push_back(&c);
       }
+      const std::vector<Expr> steps = visible_steps(constraint_specs);
       std::vector<Mover> movers;
       if (!is_trivial_spec(goal.assumption) && !goal.assumption.sub.empty()) {
-        movers.push_back(mover_from_spec(vars, goal.assumption, 0, normalize));
+        movers.push_back(mover_from_spec(vars, goal.assumption, 0, normalize, steps));
       }
       for (std::size_t j = 0; j < components.size(); ++j) {
         if (!components[j].guarantee_is_mover || components[j].guarantee.sub.empty()) continue;
-        movers.push_back(mover_from_spec(vars, closures[j], static_cast<int>(1 + j), normalize));
+        movers.push_back(
+            mover_from_spec(vars, closures[j], static_cast<int>(1 + j), normalize, steps));
       }
       std::vector<Expr> init_conjuncts = {goal.assumption.init};
       for (const AGSpec& c : components) init_conjuncts.push_back(c.guarantee.init);
