@@ -22,18 +22,15 @@ struct LocalScope {
 };
 }  // namespace
 
-// Pinned evaluation-order contract (shared with opentla/vm/):
+// Pinned evaluation-order contract:
 //
 // Operands of every binary operator are evaluated LEFT TO RIGHT, and the
 // n-ary connectives And / Or short-circuit in child order. This matters
 // only when evaluation can throw: which eval error a spec surfaces (an
 // overflow in the left operand vs. a kind mismatch in the right) must not
-// depend on the evaluator. C++ leaves the order of function-argument
+// depend on the compiler. C++ leaves the order of function-argument
 // evaluation unspecified, so every case below that evaluates two operands
-// does it through named temporaries rather than inline calls. The bytecode
-// compiler (opentla/vm/compile.cpp) emits code in this same order; the
-// differential VM-vs-tree axis in tests/test_differential.cpp holds both
-// evaluators to it, down to identical exception messages.
+// does it through named temporaries rather than inline calls.
 Value eval(const Expr& e, EvalContext& ctx) {
   if (e.is_null()) eval_error("null expression");
   const ExprNode& n = e.node();
@@ -272,14 +269,14 @@ bool enabled_with_locals(const Expr& action, EvalContext& ctx) {
   if (ctx.vars == nullptr || ctx.current == nullptr) {
     eval_error("ENABLED requires a VarTable and a current state");
   }
-  // The existential conjunct walk, on the tree evaluator so the action
-  // sees the outer bound variables: the first branch whose bindings and
-  // constraints admit a next state is a witness.
-  const ConjunctWalk walk(*ctx.vars, action, ConjunctWalk::Evaluator::kTree);
+  // The existential conjunct walk, in `ctx` so the action sees the outer
+  // bound variables: the first branch whose bindings and constraints admit
+  // a next state is a witness.
+  const ConjunctWalk walk(*ctx.vars, action);
   ConjunctWalk::Query q;
   q.current = ctx.current;
   q.existential = true;
-  q.tree_ctx = &ctx;
+  q.ctx = &ctx;
   return walk.run(q, [](const State&) { return true; });
 }
 

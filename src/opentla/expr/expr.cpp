@@ -1,13 +1,18 @@
 #include "opentla/expr/expr.hpp"
 
+#include <algorithm>
+
 namespace opentla {
 namespace ex {
 
-namespace {
 Expr make(ExprNode node) {
+  for (const Expr& k : node.kids) {
+    if (!k.is_null()) node.depth = std::max(node.depth, k.depth() + 1);
+  }
   return Expr(std::make_shared<const ExprNode>(std::move(node)));
 }
 
+namespace {
 Expr nary(ExprKind kind, std::vector<Expr> kids) {
   ExprNode n;
   n.kind = kind;

@@ -78,6 +78,8 @@ struct ExprNode {
   std::string local;  // Local / ExistsVal / ForallVal bound name
   Domain domain;      // ExistsVal / ForallVal
   std::vector<Expr> kids;
+  /// Height of the tree rooted here (1 for a leaf), set by ex::make.
+  std::size_t depth = 1;
 };
 
 /// Value-semantic handle to an immutable expression tree.
@@ -90,6 +92,7 @@ class Expr {
   const ExprNode& node() const { return *node_; }
   ExprKind kind() const { return node_->kind; }
   const std::vector<Expr>& kids() const { return node_->kids; }
+  std::size_t depth() const { return node_->depth; }
 
   /// Renders the expression in mini-TLA concrete syntax using variable
   /// names from `vars`.
@@ -109,6 +112,10 @@ std::uint64_t expr_deep_bytes(const Expr& e, std::unordered_set<const ExprNode*>
 std::uint64_t expr_deep_bytes(const Expr& e);
 
 namespace ex {
+
+/// Wraps `node`, setting its depth from its kids'. Every node is built
+/// through here.
+Expr make(ExprNode node);
 
 // --- Leaves ---
 Expr constant(Value v);

@@ -14,7 +14,7 @@ Expr rebuild(const ExprNode& n, std::vector<Expr> kids) {
   out.local = n.local;
   out.domain = n.domain;
   out.kids = std::move(kids);
-  return Expr(std::make_shared<const ExprNode>(std::move(out)));
+  return ex::make(std::move(out));
 }
 
 template <typename LeafFn>

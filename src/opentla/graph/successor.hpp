@@ -73,11 +73,10 @@ class ActionSuccessors {
   /// Test hook: when set, run() uses the naive oracle instead of the walk:
   /// the action's disjunctive normal form (its top-level disjuncts when the
   /// expansion exceeds to_dnf's cap), each disjunct's unassigned variables
-  /// ranged by the flat odometer, the whole residual tested at every leaf,
-  /// and the tree evaluator throughout. The two paths must produce the same
-  /// successor sets and enabled()/guards_enabled() verdicts — the
-  /// differential tests toggle this to prove it. Global; not for
-  /// concurrent use with live generators.
+  /// ranged by the flat odometer, and the whole residual tested at every
+  /// leaf. The two paths must produce the same successor sets and
+  /// enabled()/guards_enabled() verdicts — the differential tests toggle
+  /// this to prove it. Global; not for concurrent use with live generators.
   static void set_naive_enumeration_for_test(bool naive);
 
   /// Enumerates all states satisfying a state predicate, by treating the

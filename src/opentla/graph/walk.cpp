@@ -8,27 +8,19 @@
 
 namespace opentla {
 
-ConjunctWalk::ConjunctWalk(const VarTable& vars, const Expr& action, Evaluator evaluator)
-    : vars_(&vars), evaluator_(evaluator) {
+ConjunctWalk::ConjunctWalk(const VarTable& vars, const Expr& action) : vars_(&vars) {
   compile(action, root_);
 }
 
-ConjunctWalk::Leaf ConjunctWalk::leaf(const Expr& e) const {
-  Leaf l;
-  l.expr = e;
-  if (evaluator_ == Evaluator::kVm) l.code = vm::CompiledExpr(e);
-  return l;
-}
-
-ConjunctWalk::Constraint ConjunctWalk::constraint(const Expr& e) const {
+ConjunctWalk::Constraint ConjunctWalk::constraint(const Expr& e) {
   const FreeVars fv = free_vars(e);
-  return {leaf(e), std::vector<VarId>(fv.primed.begin(), fv.primed.end())};
+  return {e, std::vector<VarId>(fv.primed.begin(), fv.primed.end())};
 }
 
 void ConjunctWalk::compile(const Expr& conjunction, List& out) const {
   for (const Expr& c : flatten_and(conjunction)) {
     if (is_state_function(c)) {
-      out.guards.push_back(leaf(c));
+      out.guards.push_back(c);
       continue;
     }
     if (c.kind() == ExprKind::Or) {
@@ -46,7 +38,7 @@ void ConjunctWalk::compile(const Expr& conjunction, List& out) const {
     }
     std::vector<std::pair<VarId, Expr>> assigns;
     if (match_assignments(c, assigns)) {
-      for (const auto& [v, rhs] : assigns) out.assignments.push_back({v, leaf(rhs)});
+      for (const auto& [v, rhs] : assigns) out.assignments.push_back({v, rhs});
       continue;
     }
     out.constraints.push_back(constraint(c));
@@ -87,17 +79,17 @@ class WalkRun {
       cur_ = base_;
       next_ = &cur_;
     }
-    if (w.evaluator_ == Walk::Evaluator::kVm) {
-      vctx_.vars = w.vars_;
-      vctx_.current = q.current;
-      vctx_.next = next_;
+    if (q.ctx != nullptr) {
+      ctx_ = q.ctx;
+      saved_next_ = ctx_->next;
     } else {
-      saved_next_ = q.tree_ctx->next;
-      q.tree_ctx->next = next_;
+      own_ctx_.vars = w.vars_;
+      own_ctx_.current = q.current;
     }
+    ctx_->next = next_;
   }
   ~WalkRun() {
-    if (q_.tree_ctx != nullptr) q_.tree_ctx->next = saved_next_;
+    if (q_.ctx != nullptr) q_.ctx->next = saved_next_;
     bound_trail_.clear();
     waiting_.clear();
     checked_trail_.clear();
@@ -146,14 +138,7 @@ class WalkRun {
     return s;
   }
 
-  Value eval(const Walk::Leaf& l) {
-    if (w_.evaluator_ == Walk::Evaluator::kVm) return l.code.eval(vctx_);
-    return opentla::eval(l.expr, *q_.tree_ctx);
-  }
-  bool holds(const Walk::Leaf& l) {
-    if (w_.evaluator_ == Walk::Evaluator::kVm) return l.code.eval_bool(vctx_);
-    return eval_bool(l.expr, *q_.tree_ctx);
-  }
+  bool holds(const Expr& e) { return eval_bool(e, *ctx_); }
   bool all_bound(const std::vector<VarId>& vs) const {
     return std::all_of(vs.begin(), vs.end(), [&](VarId v) { return bound_[v] != 0; });
   }
@@ -163,7 +148,7 @@ class WalkRun {
     for (std::size_t i = 0; i < waiting_.size(); ++i) {
       Waiting& wc = waiting_[i];
       if (wc.checked || !all_bound(wc.c->primed)) continue;
-      if (!holds(wc.c->leaf)) return false;
+      if (!holds(wc.c->expr)) return false;
       wc.checked = true;
       checked_trail_.push_back(i);
     }
@@ -190,11 +175,11 @@ class WalkRun {
   }
 
   bool enter_body(const Walk::List& list, const Cont* k, std::size_t bound_mark) {
-    for (const Walk::Leaf& g : list.guards) {
+    for (const Expr& g : list.guards) {
       if (!holds(g)) return false;
     }
     for (const Walk::Assignment& a : list.assignments) {
-      Value val = eval(a.rhs);
+      Value val = eval(a.rhs, *ctx_);
       if (bound_[a.var]) {
         if (!((*next_)[a.var] == val)) return false;
         continue;
@@ -208,7 +193,7 @@ class WalkRun {
     for (const Walk::Constraint& c : list.constraints) {
       if (!all_bound(c.primed)) {
         waiting_.push_back({&c, false});
-      } else if (!holds(c.leaf)) {
+      } else if (!holds(c.expr)) {
         return false;
       }
     }
@@ -219,7 +204,7 @@ class WalkRun {
     for (; i < list.disjunctions.size(); ++i) {
       const Walk::Disjunction& d = list.disjunctions[i];
       if (all_bound(d.whole.primed)) {
-        if (!holds(d.whole.leaf)) return false;
+        if (!holds(d.whole.expr)) return false;
         continue;
       }
       const Cont rest{&list, i + 1, k};
@@ -312,7 +297,7 @@ class WalkRun {
       bool ok = true;
       if (depth < constrained_) {
         for (const Walk::Constraint* c : checks_at_[depth]) {
-          if (!holds(c->leaf)) {
+          if (!holds(c->expr)) {
             ok = false;
             break;
           }
@@ -332,7 +317,7 @@ class WalkRun {
   /// a list has all its guards holding does not depend on the branches
   /// taken elsewhere: each disjunction needs one such branch of its own.
   bool guards_in(const Walk::List& list) {
-    for (const Walk::Leaf& g : list.guards) {
+    for (const Expr& g : list.guards) {
       if (!holds(g)) return false;
     }
     return std::all_of(list.disjunctions.begin(), list.disjunctions.end(),
@@ -357,7 +342,8 @@ class WalkRun {
   std::vector<char>& taken_;
   std::size_t constrained_ = 0;
   const std::function<bool(const State&)>* fn_;
-  vm::VmContext vctx_;
+  EvalContext own_ctx_;
+  EvalContext* ctx_ = &own_ctx_;  // own_ctx_, or the query's
   const State* saved_next_ = nullptr;
 };
 

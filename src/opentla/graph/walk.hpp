@@ -31,10 +31,10 @@
 // existential queries). Only a variable that nothing on the branch
 // determines is ever enumerated.
 //
-// The walk is evaluator-agnostic: leaves are lowered to bytecode
-// (opentla/vm/) unless the walk is built for the tree evaluator, which
-// ENABLED uses because its action may mention bound variables of an
-// enclosing quantifier.
+// Every guard, right-hand side and constraint is evaluated by the one
+// evaluator (opentla/expr/eval.hpp) in an EvalContext: the walk's own, or
+// the caller's when the action may mention bound variables of an enclosing
+// quantifier (ENABLED).
 
 #pragma once
 
@@ -47,17 +47,13 @@
 #include "opentla/expr/expr.hpp"
 #include "opentla/state/state.hpp"
 #include "opentla/state/var_table.hpp"
-#include "opentla/vm/interp.hpp"
 
 namespace opentla {
 
 class ConjunctWalk {
  public:
-  enum class Evaluator { kVm, kTree };
-
-  /// Compiles `action`; with Evaluator::kVm every leaf is lowered to
-  /// bytecode once, here.
-  ConjunctWalk(const VarTable& vars, const Expr& action, Evaluator evaluator = Evaluator::kVm);
+  /// Compiles `action` into its conjunct lists.
+  ConjunctWalk(const VarTable& vars, const Expr& action);
 
   /// One walk from a state.
   struct Query {
@@ -75,9 +71,9 @@ class ConjunctWalk {
     /// Keep every unconstrained variable at its base value: enough to
     /// decide whether some successor exists.
     bool existential = false;
-    /// Tree evaluator only: the context to evaluate in (its locals are the
-    /// outer environment; `next` is saved and restored).
-    EvalContext* tree_ctx = nullptr;
+    /// The context to evaluate in (its locals are the outer environment;
+    /// `next` is saved and restored). Null: the walk uses its own.
+    EvalContext* ctx = nullptr;
   };
 
   /// Calls `fn` on every next state the walk reaches, in the walk's
@@ -94,21 +90,17 @@ class ConjunctWalk {
  private:
   friend class WalkRun;
 
-  struct Leaf {
-    Expr expr;
-    vm::CompiledExpr code;  // lowered only for Evaluator::kVm
-  };
   struct Constraint {
-    Leaf leaf;
+    Expr expr;
     std::vector<VarId> primed;  // ascending
   };
   struct Assignment {
     VarId var;
-    Leaf rhs;
+    Expr rhs;
   };
   struct Disjunction;
   struct List {
-    std::vector<Leaf> guards;
+    std::vector<Expr> guards;
     std::vector<Assignment> assignments;
     std::vector<Constraint> constraints;
     std::vector<Disjunction> disjunctions;
@@ -118,12 +110,10 @@ class ConjunctWalk {
     std::vector<List> branches;
   };
 
-  Leaf leaf(const Expr& e) const;
-  Constraint constraint(const Expr& e) const;
+  static Constraint constraint(const Expr& e);
   void compile(const Expr& conjunction, List& out) const;
 
   const VarTable* vars_;
-  Evaluator evaluator_;
   List root_;
 };
 

@@ -7,7 +7,7 @@
 // on obs::enabled() and none of which hijacks global operator new:
 //
 //   * MemTally — an RAII byte tally owned by the object whose memory it
-//     describes (StateStore, StateGraph, CompiledExpr, Oracle). add()
+//     describes (StateStore, StateGraph, Oracle). add()
 //     charges bytes when collection is on; the destructor releases
 //     exactly what was charged, so toggling collection mid-lifetime never
 //     leaves phantom live bytes.

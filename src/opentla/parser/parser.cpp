@@ -22,8 +22,14 @@ namespace {
 class Cursor {
  public:
   explicit Cursor(std::vector<Token> tokens) : tokens_(std::move(tokens)) {
+    // The end marker sits at the last token, so errors at the end of
+    // input still point into the source.
     Token end;
     end.kind = TokenKind::End;
+    if (!tokens_.empty()) {
+      end.line = tokens_.back().line;
+      end.column = tokens_.back().column;
+    }
     tokens_.push_back(std::move(end));
   }
 
@@ -53,7 +59,10 @@ class ExprParser {
   ExprParser(Cursor& cur, const VarTable& vars, const std::map<std::string, Expr>* defs)
       : cur_(&cur), vars_(&vars), defs_(defs) {}
 
-  Expr parse() { return parse_equiv(); }
+  Expr parse() {
+    Nest nest(*this);
+    return bounded(parse_equiv());
+  }
 
   /// Parses a domain: a..b | {c, ...} | BOOLEAN | Seq(domain, n).
   Domain parse_domain() {
@@ -75,6 +84,7 @@ class ExprParser {
     if (cur_->at(TokenKind::Ident) && cur_->peek().text == "Seq") {
       cur_->advance();
       cur_->expect(TokenKind::LParen, "'('");
+      Nest nest(*this);
       Domain elems = parse_domain();
       cur_->expect(TokenKind::Comma, "','");
       const Token& n = cur_->expect(TokenKind::Number, "sequence length bound");
@@ -89,6 +99,32 @@ class ExprParser {
   }
 
  private:
+  /// One level of parser recursion, held for its lifetime.
+  class Nest {
+   public:
+    explicit Nest(ExprParser& p) : p_(p) {
+      if (p_.nesting_ == kMaxExprDepth) p_.too_deep();
+      ++p_.nesting_;
+    }
+    ~Nest() { --p_.nesting_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+
+   private:
+    ExprParser& p_;
+  };
+
+  [[noreturn]] void too_deep() const {
+    parse_error(cur_->peek(),
+                "expression nested deeper than " + std::to_string(kMaxExprDepth) + " levels");
+  }
+  /// `e`, unless it is deeper than the cap. Checked wherever a loop or a
+  /// recursion can grow a tree, so no over-deep tree is ever built.
+  Expr bounded(Expr e) const {
+    if (e.depth() > kMaxExprDepth) too_deep();
+    return e;
+  }
+
   Value parse_constant() {
     bool negative = cur_->accept(TokenKind::Minus);
     const Token& t = cur_->peek();
@@ -110,14 +146,15 @@ class ExprParser {
 
   Expr parse_equiv() {
     Expr lhs = parse_implies();
-    while (cur_->accept(TokenKind::Equiv)) lhs = ex::equiv(lhs, parse_implies());
+    while (cur_->accept(TokenKind::Equiv)) lhs = bounded(ex::equiv(lhs, parse_implies()));
     return lhs;
   }
 
   Expr parse_implies() {
     Expr lhs = parse_or();
-    if (cur_->accept(TokenKind::Implies)) return ex::implies(lhs, parse_implies());
-    return lhs;
+    if (!cur_->accept(TokenKind::Implies)) return lhs;
+    Nest nest(*this);
+    return bounded(ex::implies(lhs, parse_implies()));
   }
 
   Expr parse_or() {
@@ -137,8 +174,9 @@ class ExprParser {
   }
 
   Expr parse_not() {
-    if (cur_->accept(TokenKind::Not)) return ex::lnot(parse_not());
-    return parse_comparison();
+    if (!cur_->accept(TokenKind::Not)) return parse_comparison();
+    Nest nest(*this);
+    return bounded(ex::lnot(parse_not()));
   }
 
   Expr parse_comparison() {
@@ -171,11 +209,11 @@ class ExprParser {
     Expr lhs = parse_multiplicative();
     while (true) {
       if (cur_->accept(TokenKind::Plus)) {
-        lhs = ex::add(lhs, parse_multiplicative());
+        lhs = bounded(ex::add(lhs, parse_multiplicative()));
       } else if (cur_->accept(TokenKind::Minus)) {
-        lhs = ex::sub(lhs, parse_multiplicative());
+        lhs = bounded(ex::sub(lhs, parse_multiplicative()));
       } else if (cur_->accept(TokenKind::ConcatOp)) {
-        lhs = ex::concat(lhs, parse_multiplicative());
+        lhs = bounded(ex::concat(lhs, parse_multiplicative()));
       } else {
         return lhs;
       }
@@ -186,9 +224,9 @@ class ExprParser {
     Expr lhs = parse_unary();
     while (true) {
       if (cur_->accept(TokenKind::Star)) {
-        lhs = ex::mul(lhs, parse_unary());
+        lhs = bounded(ex::mul(lhs, parse_unary()));
       } else if (cur_->accept(TokenKind::Percent)) {
-        lhs = ex::mod(lhs, parse_unary());
+        lhs = bounded(ex::mod(lhs, parse_unary()));
       } else {
         return lhs;
       }
@@ -196,8 +234,9 @@ class ExprParser {
   }
 
   Expr parse_unary() {
-    if (cur_->accept(TokenKind::Minus)) return ex::neg(parse_unary());
-    return parse_postfix();
+    if (!cur_->accept(TokenKind::Minus)) return parse_postfix();
+    Nest nest(*this);
+    return bounded(ex::neg(parse_unary()));
   }
 
   Expr parse_postfix() {
@@ -206,7 +245,7 @@ class ExprParser {
       if (cur_->accept(TokenKind::Prime)) {
         e = prime(e);
       } else if (cur_->accept(TokenKind::LBracket)) {
-        e = ex::index(e, parse());
+        e = bounded(ex::index(e, parse()));
         cur_->expect(TokenKind::RBracket, "']'");
       } else {
         return e;
@@ -346,6 +385,7 @@ class ExprParser {
   const VarTable* vars_;
   const std::map<std::string, Expr>* defs_;
   std::vector<std::string> locals_;
+  std::size_t nesting_ = 0;
 };
 
 std::vector<Token> strip_newlines(std::vector<Token> tokens) {

@@ -33,6 +33,14 @@
 
 namespace opentla {
 
+/// The one nesting cap on parsed input: no expression the parser builds
+/// is deeper than this, and its recursion (parentheses, `~`, unary `-`,
+/// `=>`, Seq domains) goes no deeper. Past it the parse fails with an
+/// error instead of overflowing the stack in the parser or in any later
+/// recursive pass (evaluation, printing, analysis). Bundled specs nest
+/// under ten levels.
+inline constexpr std::size_t kMaxExprDepth = 512;
+
 /// Parses one expression/action over `vars`. `definitions` (optional)
 /// provides named macros.
 Expr parse_expression(const std::string& src, const VarTable& vars,

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 
 #include "opentla/expr/eval.hpp"
 #include "opentla/expr/expr.hpp"
@@ -23,6 +25,24 @@ class ExprTest : public ::testing::Test {
 
   State state(std::int64_t xv, std::int64_t yv, Value qv = Value::empty_seq()) {
     return State({Value::integer(xv), Value::integer(yv), std::move(qv)});
+  }
+
+  /// The message `e` throws when evaluated at `cur` with no next state,
+  /// or "" if it evaluates (as a boolean when `as_bool`).
+  std::string error_of(const Expr& e, const State* cur, bool as_bool = false) {
+    EvalContext ctx;
+    ctx.vars = &vars;
+    ctx.current = cur;
+    try {
+      if (as_bool) {
+        eval_bool(e, ctx);
+      } else {
+        eval(e, ctx);
+      }
+    } catch (const std::runtime_error& ex) {
+      return ex.what();
+    }
+    return "";
   }
 
   VarTable vars;
@@ -93,6 +113,12 @@ TEST_F(ExprTest, ModuloAndIndexing) {
   EXPECT_EQ(eval_fn(ex::index(ex::var(q), ex::var(y)), vars, s), Value::integer(0));
   EXPECT_THROW(eval_fn(ex::index(ex::var(q), ex::integer(0)), vars, s), std::runtime_error);
   EXPECT_THROW(eval_fn(ex::index(ex::var(q), ex::integer(3)), vars, s), std::runtime_error);
+  // The QueueHistory FIFO invariant's shape: an index compared under an
+  // implication.
+  EXPECT_TRUE(eval_pred(ex::implies(ex::boolean(true),
+                                    ex::eq(ex::index(ex::var(q), ex::integer(1)),
+                                           ex::integer(1))),
+                        vars, s));
   EXPECT_EQ(ex::index(ex::var(q), ex::integer(2)).to_string(vars), "q[2]");
   EXPECT_EQ(ex::mod(ex::var(x), ex::integer(2)).to_string(vars), "x % 2");
 }
@@ -173,6 +199,22 @@ TEST_F(ExprTest, PrimedVariableInStateFunctionContextThrows) {
                std::runtime_error);
 }
 
+TEST_F(ExprTest, EvalErrorMessagesAreExact) {
+  const State s = state(1, 2);
+  EXPECT_EQ(error_of(ex::local("ghost"), &s), "eval: unbound local 'ghost'");
+  EXPECT_EQ(error_of(ex::primed_var(x), &s),
+            "eval: primed variable in a state-function context");
+  EXPECT_EQ(error_of(ex::var(x), nullptr), "eval: no current state");
+  EXPECT_EQ(error_of(ex::add(ex::var(x), ex::boolean(true)), &s),
+            "Value kind mismatch: expected Int, got Bool");
+  EXPECT_EQ(error_of(ex::index(ex::make_tuple({ex::var(x)}), ex::integer(5)), &s),
+            "eval: sequence index 5 out of range for <<1>>");
+  EXPECT_EQ(error_of(ex::land(ex::integer(3), ex::boolean(true)), &s),
+            "eval: expected a boolean, got 3");
+  EXPECT_EQ(error_of(ex::add(ex::integer(1), ex::integer(2)), &s, /*as_bool=*/true),
+            "eval: expected a boolean, got 3");
+}
+
 TEST_F(ExprTest, PrimeTransform) {
   Expr e = ex::add(ex::var(x), ex::var(y));
   Expr ep = prime(e);
@@ -218,6 +260,14 @@ TEST_F(ExprTest, EnabledAsStatePredicateInsideEval) {
   Expr pred = ex::enabled(act);
   EXPECT_TRUE(eval_pred(pred, vars, state(0, 0)));
   EXPECT_FALSE(eval_pred(pred, vars, state(3, 0)));
+  // The action sees the enclosing quantifier's bound variable:
+  // \E i \in 2..3 : ENABLED (x' = i) holds, and is false when i ranges
+  // over values x' can never take.
+  Expr bound = ex::eq(ex::primed_var(x), ex::local("i"));
+  EXPECT_TRUE(eval_pred(ex::exists_val("i", range_domain(2, 3), ex::enabled(bound)), vars,
+                        state(1, 2)));
+  EXPECT_FALSE(eval_pred(ex::exists_val("i", range_domain(7, 9), ex::enabled(bound)), vars,
+                         state(1, 2)));
 }
 
 TEST_F(ExprTest, Printing) {

@@ -2,12 +2,33 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "opentla/expr/eval.hpp"
 #include "opentla/parser/lexer.hpp"
 #include "opentla/parser/parser.hpp"
 
 namespace opentla {
 namespace {
+
+/// `n` copies of `s`.
+std::string repeat(std::size_t n, const std::string& s) {
+  std::string out;
+  for (std::size_t i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+/// The message a parse of `parse` throws, or "" if it parses.
+template <class Parse>
+std::string parse_error_of(Parse&& parse) {
+  try {
+    parse();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
 
 TEST(Lexer, OperatorsAndLiterals) {
   std::vector<Token> toks = tokenize("x' = 12 /\\ ~(y <= 3) \\/ q \\o <<\"a\">>");
@@ -120,6 +141,44 @@ TEST_F(ParseExprTest, Errors) {
   EXPECT_THROW(parse_expression("unknown_var = 1", vars), std::runtime_error);
   EXPECT_THROW(parse_expression("x = 1 x", vars), std::runtime_error);
   EXPECT_THROW(parse_expression("Head(q, q)", vars), std::runtime_error);
+}
+
+TEST_F(ParseExprTest, NestingPastTheCapIsAParseError) {
+  const std::size_t cap = kMaxExprDepth;
+  // Each parenthesis is one level of parser recursion (the outermost
+  // expression is the first); each `+ 1` is one tree level.
+  const auto parens = [](std::size_t n) { return repeat(n, "(") + "x = 1" + repeat(n, ")"); };
+  const auto plus = [](std::size_t n) { return "x" + repeat(n, " + 1"); };
+  EXPECT_TRUE(pred(parens(cap - 1), 1, 0));
+  const Expr at_cap = parse_expression(plus(cap - 1), vars);
+  EXPECT_EQ(at_cap.depth(), cap);
+  const State s({Value::integer(1), Value::integer(0), Value::empty_seq()});
+  EXPECT_EQ(eval_fn(at_cap, vars, s), Value::integer(static_cast<std::int64_t>(cap)));
+
+  const std::string too_deep = "nested deeper than " + std::to_string(cap) + " levels";
+  for (const std::string& src :
+       {parens(cap), plus(cap), parens(10000), repeat(10000, "~") + "TRUE",
+        repeat(10000, "-") + "x", plus(10000), repeat(10000, "x = 0 => ") + "TRUE",
+        repeat(10000, "\\E v \\in 0..1 : ") + "TRUE"}) {
+    const std::string err = parse_error_of([&] { parse_expression(src, vars); });
+    EXPECT_NE(err.find(too_deep), std::string::npos) << src.substr(0, 40) << ": " << err;
+  }
+}
+
+TEST(ParseModule, NestingCapCoversSplicedDefinitionsAndDomains) {
+  // Each definition splices the previous one a level deeper, so no single
+  // statement nests deeply but the spliced tree does.
+  std::string chain = "MODULE M\nVARIABLE x \\in 0..1\nDEFINE D0 == x\n";
+  for (std::size_t i = 1; i <= kMaxExprDepth; ++i) {
+    chain += "DEFINE D" + std::to_string(i) + " == D" + std::to_string(i - 1) + " + 1\n";
+  }
+  chain += "INIT x = 0\nNEXT x' = x\nSUBSCRIPT <<x>>\n";
+  EXPECT_NE(parse_error_of([&] { parse_module(chain); }).find("nested deeper than"),
+            std::string::npos);
+  const std::string seqs = "MODULE M\nVARIABLE x \\in " + repeat(10000, "Seq(") + "0..1" +
+                           repeat(10000, ", 1)") + "\nINIT TRUE\nNEXT TRUE\n";
+  EXPECT_NE(parse_error_of([&] { parse_module(seqs); }).find("nested deeper than"),
+            std::string::npos);
 }
 
 TEST(ParseModule, CounterRoundTrip) {

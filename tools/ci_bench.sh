@@ -274,18 +274,6 @@ run_config() {
     exit 1
   fi
 
-  # The VM evaluation microbench pins the tree-vs-bytecode comparison the
-  # VMEVAL experiment records (its artifact also cross-checks tree/VM
-  # agreement per shape and the vm_* counters).
-  if [ ! -x "$dir/bench/bench_vm_eval" ]; then
-    echo "error: bench_vm_eval missing under $dir/bench" >&2
-    exit 1
-  fi
-  if [ ! -f "$outdir/BENCH_bench_vm_eval.json" ]; then
-    echo "error: bench_vm_eval did not export its counters" >&2
-    exit 1
-  fi
-
   # The analyze JSON surface: run the multi-module ag_queue analysis and
   # validate it against tools/analyze_schema.json (hand-rolled, same
   # no-jsonschema-dependency policy as validate()).

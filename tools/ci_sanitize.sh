@@ -30,8 +30,8 @@ cmake -B "${tsan_dir}" -S "${repo_root}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DOPENTLA_TSAN=ON
 cmake --build "${tsan_dir}" -j"$(nproc)" \
-  --target test_parallel_explore test_differential test_vm
+  --target test_parallel_explore test_differential
 
 export TSAN_OPTIONS="halt_on_error=1"
 ctest --test-dir "${tsan_dir}" --output-on-failure \
-  -R 'test_parallel_explore|test_differential|test_vm'
+  -R 'test_parallel_explore|test_differential'

@@ -146,7 +146,6 @@
 #include "opentla/parser/parser.hpp"
 #include "opentla/run/budget.hpp"
 #include "opentla/run/ledger.hpp"
-#include "opentla/vm/interp.hpp"
 
 using namespace opentla;
 
@@ -205,8 +204,6 @@ int usage() {
          "         --flight-out FILE (dump path, default flight_recorder.jsonl)\n"
          "         --serve-metrics PORT (live /metrics + /progress on 127.0.0.1)\n"
          "         --serve-hold-ms MS (keep serving after the verdict)\n"
-         "         --tree-eval (force the tree evaluator instead of the bytecode\n"
-         "         VM; verdicts and graphs are identical either way)\n"
          "         --run-ledger FILE (append one JSONL line per run)\n"
          "         --sample-hz N (span-stack sampling profiler; `profile --format\n"
          "         folded` emits collapsed stacks for flamegraph.pl/speedscope)\n"
@@ -953,8 +950,6 @@ int main(int argc, char** argv) {
       ledger_file = args[++i];
     } else if (args[i] == "--stats") {
       stats = true;
-    } else if (args[i] == "--tree-eval") {
-      opentla::vm::set_tree_eval_for_test(true);
     } else if (args[i] == "--werror") {
       werror = true;
     } else if (args[i] == "--independence") {
@@ -1215,21 +1210,8 @@ int main(int argc, char** argv) {
     // calls it again harmlessly) so folded counts are complete here.
     if (span_profiler) span_profiler->stop();
     obs::Snapshot snap = sink.take();
-    // Expression-evaluator section: which engine ran and how much bytecode
-    // it retired. Appended to human-readable stats/profile output only; the
-    // JSON/trace renders already carry the vm_* counters.
-    const auto vm_section = [&snap] {
-      std::ostringstream os;
-      os << "--- vm ---\n"
-         << "mode: " << (vm::tree_eval_forced() ? "tree" : "vm") << "\n"
-         << "vm_programs_compiled: "
-         << snap.counter(obs::Counter::VmProgramsCompiled) << "\n"
-         << "vm_instrs_executed: "
-         << snap.counter(obs::Counter::VmInstrsExecuted) << "\n";
-      return os.str();
-    };
     if (!profiling) {
-      std::cout << "--- stats ---\n" << obs::render_human(snap) << vm_section();
+      std::cout << "--- stats ---\n" << obs::render_human(snap);
       return finish(rc);
     }
     // Folded stacks come from the live sampler when one ran; when it did
@@ -1246,7 +1228,7 @@ int main(int argc, char** argv) {
         format == "trace"    ? obs::render_chrome_trace(snap)
         : format == "json"   ? obs::render_json(snap)
         : format == "folded" ? folded_text()
-                             : obs::render_human(snap) + vm_section() +
+                             : obs::render_human(snap) +
                                    obs::render_profile_table(
                                        obs::profile_rows(snap),
                                        static_cast<std::size_t>(top_n));
