@@ -13,6 +13,7 @@
 // exported BENCH_bench_parallel_scaling.json carries the par.* counters
 // (steals, shard contention, per-pool expansions) for the same series.
 
+#include <algorithm>
 #include <chrono>
 #include <iomanip>
 
@@ -77,7 +78,7 @@ void artifact() {
                        g.initial() == reference.initial();
       for (StateId s = 0; identical && s < reference.num_states(); ++s) {
         identical = g.state(s) == reference.state(s) &&
-                    g.successors(s) == reference.successors(s);
+                    std::ranges::equal(g.successors(s), reference.successors(s));
       }
       std::cout << std::left << std::setw(28) << space.label << std::right
                 << std::setw(9) << g.num_states() << std::setw(10) << threads

@@ -40,10 +40,11 @@ LeadsToResult check_leads_to(const StateGraph& graph, const std::vector<Fairness
   for (std::size_t i = 0; i < roots.size(); ++i) roots[i] = static_cast<StateId>(i);
   std::vector<char> cycle_state(graph.num_states(), 0);
   std::vector<StateId> a_cycle;  // one witness cycle for the report
+  FairCycleSearch search(graph, query);
   for (const std::vector<StateId>& comp :
        strongly_connected_components(graph, roots, query.filter)) {
     std::vector<StateId> cycle;
-    if (component_hosts_fair_cycle(graph, query, comp, cycle)) {
+    if (search.component_hosts_fair_cycle(comp, cycle)) {
       for (StateId s : cycle) cycle_state[s] = 1;
       if (a_cycle.empty()) a_cycle = cycle;
     }
@@ -54,14 +55,9 @@ LeadsToResult check_leads_to(const StateGraph& graph, const std::vector<Fairness
   }
 
   // Backward reachability through Q-free states: which states can escape
-  // into a Q-free fair cycle without ever visiting Q?
-  std::vector<std::vector<StateId>> reverse(graph.num_states());
-  for (StateId u = 0; u < graph.num_states(); ++u) {
-    if (q_at(u)) continue;
-    for (StateId v : graph.successors(u)) {
-      if (!q_at(v)) reverse[v].push_back(u);
-    }
-  }
+  // into a Q-free fair cycle without ever visiting Q? (Cycle states are
+  // Q-free, and only Q-free predecessors are followed.)
+  const CsrAdjacency reverse = graph.reverse();
   std::vector<char> escapes(graph.num_states(), 0);
   std::deque<StateId> frontier;
   for (StateId s = 0; s < graph.num_states(); ++s) {
@@ -73,8 +69,8 @@ LeadsToResult check_leads_to(const StateGraph& graph, const std::vector<Fairness
   while (!frontier.empty()) {
     const StateId v = frontier.front();
     frontier.pop_front();
-    for (StateId u : reverse[v]) {
-      if (!escapes[u]) {
+    for (StateId u : reverse.neighbors(v)) {
+      if (!escapes[u] && !q_at(u)) {
         escapes[u] = 1;
         frontier.push_back(u);
       }
@@ -102,7 +98,7 @@ LeadsToResult check_leads_to(const StateGraph& graph, const std::vector<Fairness
       for (const std::vector<StateId>& comp :
            strongly_connected_components(graph, {entry}, query.filter)) {
         std::vector<StateId> c;
-        if (component_hosts_fair_cycle(graph, query, comp, c) &&
+        if (search.component_hosts_fair_cycle(comp, c) &&
             std::find(comp.begin(), comp.end(), entry) != comp.end()) {
           cycle = c;
           // Extend the prefix from the entry to the recomputed cycle.
@@ -135,13 +131,12 @@ bool FairnessCompiler::Compiled::enabled(StateId s) {
 }
 
 bool FairnessCompiler::Compiled::step(StateId s, StateId t) {
-  const std::uint64_t key = (static_cast<std::uint64_t>(s) << 32) | t;
-  auto it = step_cache.find(key);
-  if (it == step_cache.end()) {
-    const bool result = eval_action(act, graph->vars(), graph->state(s), graph->state(t));
-    it = step_cache.emplace(key, result).first;
+  const std::uint64_t e = graph->edge_id(s, t);
+  if (step_label[e] < 0) {
+    label_out_edges(*graph, graph->vars(), act, s, [this](StateId u) { return graph->state(u); },
+                    step_label);
   }
-  return it->second;
+  return step_label[e] == 1;
 }
 
 std::shared_ptr<FairnessCompiler::Compiled> FairnessCompiler::compile(const Fairness& f) {
@@ -149,6 +144,7 @@ std::shared_ptr<FairnessCompiler::Compiled> FairnessCompiler::compile(const Fair
   unit->act = action_changing(f.action, f.sub);
   unit->gen = std::make_shared<ActionSuccessors>(graph_->vars(), unit->act);
   unit->enabled_cache.assign(graph_->num_states(), -1);
+  unit->step_label.assign(graph_->num_edges(), -1);
   unit->graph = graph_;
   units_.push_back(unit);
   return unit;

@@ -18,15 +18,17 @@
 //       ~SF_v(A): no <A>_v steps, and <A>_v-enabled states visited
 //                 infinitely often (a Buechi obligation)
 //
-// ENABLED computations are cached per state, which is what makes repeated
-// fair-cycle queries affordable.
+// ENABLED is cached per state and <A>_v per edge (by the graph's dense edge
+// ids), which is what makes repeated fair-cycle queries affordable. The
+// first query on any out-edge of s labels all of s's out-edges at once:
+// s is decoded once and each target once, and one EvalContext is reused.
 
 #pragma once
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
+#include "opentla/expr/eval.hpp"
 #include "opentla/graph/fair_cycle.hpp"
 #include "opentla/graph/successor.hpp"
 #include "opentla/graph/state_graph.hpp"
@@ -47,6 +49,31 @@ struct LeadsToResult {
 
 LeadsToResult check_leads_to(const StateGraph& graph, const std::vector<Fairness>& fairness,
                              const Expr& p, const Expr& q);
+
+/// Labels every out-edge s -> t of `graph` with whether <state_of(s),
+/// state_of(t)> is an `act` step over `vars`: labels[edge id] = 1 or 0.
+/// state_of(s) is fetched once and each target once, and one EvalContext
+/// serves every edge. `state_of` gives the state an id stands for: the
+/// graph's decoded state, or a refinement-mapped one.
+template <typename StateOf>
+void label_out_edges(const StateGraph& graph, const VarTable& vars, const Expr& act, StateId s,
+                     const StateOf& state_of, std::vector<signed char>& labels) {
+  decltype(auto) cur = state_of(s);
+  EvalContext ctx;
+  ctx.vars = &vars;
+  ctx.current = &cur;
+  std::uint64_t e = graph.edge_begin(s);
+  for (StateId t : graph.successors(s)) {
+    if (t == s) {
+      ctx.next = &cur;
+      labels[e++] = eval_bool(act, ctx) ? 1 : 0;
+      continue;
+    }
+    decltype(auto) next = state_of(t);
+    ctx.next = &next;
+    labels[e++] = eval_bool(act, ctx) ? 1 : 0;
+  }
+}
 
 /// Compiles fairness conditions over a fixed graph, caching per-state
 /// ENABLED evaluations. The compiler must outlive the obligations and
@@ -73,10 +100,11 @@ class FairnessCompiler {
   struct Compiled {
     Expr act;  // <A>_v = A /\ (v' # v)
     std::shared_ptr<ActionSuccessors> gen;
-    std::vector<signed char> enabled_cache;  // -1 unknown, else 0/1
-    std::unordered_map<std::uint64_t, bool> step_cache;
+    std::vector<signed char> enabled_cache;  // by StateId: -1 unknown, else 0/1
+    std::vector<signed char> step_label;     // by edge id: -1 unknown, else 0/1
     const StateGraph* graph;
     bool enabled(StateId s);
+    /// <A>_v on the edge s -> t; throws std::logic_error on a non-edge.
     bool step(StateId s, StateId t);
   };
   std::shared_ptr<Compiled> compile(const Fairness& f);

@@ -70,19 +70,17 @@ MachineClosureResult check_machine_closure_on_graph(const StateGraph& graph,
   std::vector<StateId> roots(graph.num_states());
   for (std::size_t i = 0; i < roots.size(); ++i) roots[i] = static_cast<StateId>(i);
   std::vector<char> good(graph.num_states(), 0);
+  FairCycleSearch search(graph, query);
   for (const std::vector<StateId>& comp :
        strongly_connected_components(graph, roots, query.filter)) {
     std::vector<StateId> cycle;
-    if (component_hosts_fair_cycle(graph, query, comp, cycle)) {
+    if (search.component_hosts_fair_cycle(comp, cycle)) {
       for (StateId s : cycle) good[s] = 1;
     }
   }
 
   // A state is extendable iff it reaches a good state: reverse BFS.
-  std::vector<std::vector<StateId>> reverse(graph.num_states());
-  for (StateId u = 0; u < graph.num_states(); ++u) {
-    for (StateId v : graph.successors(u)) reverse[v].push_back(u);
-  }
+  const CsrAdjacency reverse = graph.reverse();
   std::deque<StateId> frontier;
   std::vector<char> extendable(graph.num_states(), 0);
   for (StateId s = 0; s < graph.num_states(); ++s) {
@@ -94,7 +92,7 @@ MachineClosureResult check_machine_closure_on_graph(const StateGraph& graph,
   while (!frontier.empty()) {
     const StateId v = frontier.front();
     frontier.pop_front();
-    for (StateId u : reverse[v]) {
+    for (StateId u : reverse.neighbors(v)) {
       if (!extendable[u]) {
         extendable[u] = 1;
         frontier.push_back(u);

@@ -1,7 +1,6 @@
 #include "opentla/check/refinement.hpp"
 
 #include <stdexcept>
-#include <unordered_map>
 
 #include "opentla/expr/eval.hpp"
 #include "opentla/graph/successor.hpp"
@@ -94,11 +93,14 @@ RefinementResult check_refinement(const StateGraph& low_graph,
   }
 
   // (live) for each high fairness condition, search for a low-fair lasso
-  // violating it.
+  // violating it. The low fairness constraints are compiled once; every
+  // condition's query copies them and so shares their ENABLED and step
+  // labels.
+  FairnessCompiler compiler(low_graph);
+  FairCycleQuery low_fair;
+  compiler.add_constraints(low_fairness, low_fair);
   for (const Fairness& hf : high.fairness) {
-    FairnessCompiler compiler(low_graph);
-    FairCycleQuery query;
-    compiler.add_constraints(low_fairness, query);
+    FairCycleQuery query = low_fair;
 
     // The violation conditions are expressed over mapped states: build a
     // small adapter evaluating the high action / ENABLED on mapped pairs.
@@ -110,14 +112,16 @@ RefinementResult check_refinement(const StateGraph& low_graph,
       if (c < 0) c = high_gen.enabled(mapped[s]) ? 1 : 0;
       return c == 1;
     };
-    std::unordered_map<std::uint64_t, bool> step_cache;
-    auto high_step = [&, high_act](StateId s, StateId t) {
-      const std::uint64_t key = (static_cast<std::uint64_t>(s) << 32) | t;
-      auto [it, inserted] = step_cache.try_emplace(key, false);
-      if (inserted) {
-        it->second = eval_action(high_act, high_vars, mapped[s], mapped[t]);
+    // High <A>_v per low edge, labelled a source state at a time on the
+    // mapped pairs (see label_out_edges).
+    std::vector<signed char> step_label(low_graph.num_edges(), -1);
+    auto high_step = [&](StateId s, StateId t) {
+      const std::uint64_t e = low_graph.edge_id(s, t);
+      if (step_label[e] < 0) {
+        label_out_edges(low_graph, high_vars, high_act, s,
+                        [&](StateId u) -> const State& { return mapped[u]; }, step_label);
       }
-      return it->second;
+      return step_label[e] == 1;
     };
 
     // The cycle must contain no high <A>_v step...

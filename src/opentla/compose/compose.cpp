@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_set>
 
 #include "opentla/expr/analysis.hpp"
 #include "opentla/graph/successor.hpp"
@@ -124,14 +123,15 @@ StateGraph build_composite_graph(const VarTable& vars, const std::vector<Composi
   // Determinism contract (relied on by the parallel engine's canonical
   // renumbering): for a fixed state `s`, this lambda emits successors in a
   // fixed order — walks in construction order (movers, then free tuples),
-  // each in its branch and enumeration order (see graph/walk.hpp). The
-  // unordered `seen` set is membership-only dedup; it never drives
-  // emission order. The lambda is safe to call concurrently on distinct
-  // states: all captures are read-only and `seen` is per-call.
+  // each in its branch and enumeration order (see graph/walk.hpp). A state
+  // reached by several walks or branches is emitted each time; the engine
+  // interns every emission and dedups the row by StateId, so a repeat
+  // never changes the graph (a state's id comes from its first emission).
+  // The lambda is safe to call concurrently on distinct states: all
+  // captures are read-only.
   auto succ = [walks = std::move(walks)](const State& s,
                                          const std::function<void(const State&)>& emit) {
-    std::unordered_set<State, StateHash> seen;
-    for (const ActionSuccessors& walk : walks) walk.for_each_successor(s, emit, &seen);
+    for (const ActionSuccessors& walk : walks) walk.for_each_emission(s, emit);
   };
 
   return StateGraph(vars, init_states, succ, opts);

@@ -9,48 +9,100 @@ namespace opentla {
 
 namespace {
 
-// Membership-restricted view of the query's subgraph.
-struct Region {
-  const FairCycleQuery* query;
-  std::vector<char> member;  // indexed by StateId
-
-  SubgraphFilter filter() const {
-    SubgraphFilter f;
-    f.node_ok = [this](StateId s) { return member[s] && query->filter.node(s); };
-    f.edge_ok = [this](StateId s, StateId t) { return query->filter.edge(s, t); };
-    return f;
-  }
-};
-
 // An edge witness inside a component.
 struct EdgeWitness {
   StateId from;
   StateId to;
 };
 
-// Checks one SCC; recurses after Streett trigger removal. On success fills
-// `cycle_out` with a closed walk satisfying every obligation.
-bool check_component(const StateGraph& g, const FairCycleQuery& q,
-                     const std::vector<StateId>& comp, std::vector<StateId>& cycle_out) {
-  OPENTLA_OBS_COUNT(LassoCandidates);
-  Region region{&q, std::vector<char>(g.num_states(), 0)};
-  for (StateId s : comp) region.member[s] = 1;
-  const SubgraphFilter in_comp = region.filter();
+// Marks `nodes` in a membership buffer for one scope.
+struct Mark {
+  std::vector<char>& member;
+  const std::vector<StateId>& nodes;
+  Mark(std::vector<char>& m, const std::vector<StateId>& n) : member(m), nodes(n) {
+    for (StateId s : nodes) member[s] = 1;
+  }
+  ~Mark() {
+    for (StateId s : nodes) member[s] = 0;
+  }
+  Mark(const Mark&) = delete;
+  Mark& operator=(const Mark&) = delete;
+};
 
-  if (!component_has_cycle(g, comp, in_comp)) return false;
+}  // namespace
+
+FairCycleSearch::FairCycleSearch(const StateGraph& g, const FairCycleQuery& q)
+    : g_(g), q_(q), member_(g.num_states(), 0) {
+  region_.node_ok = [this](StateId s) { return member_[s] && q_.filter.node(s); };
+  region_.edge_ok = q.filter.edge_ok;
+}
+
+bool FairCycleSearch::component_hosts_fair_cycle(const std::vector<StateId>& comp,
+                                                 std::vector<StateId>& cycle_out) {
+  std::vector<StateId> remaining;
+  {
+    const Mark mark(member_, comp);
+    if (const std::optional<bool> verdict = check_marked(comp, cycle_out, remaining)) {
+      return *verdict;
+    }
+  }
+  // The triggers are removed: re-decompose what is left, one component at
+  // a time, each with only its own nodes marked.
+  std::vector<std::vector<StateId>> subs;
+  {
+    const Mark mark(member_, remaining);
+    subs = strongly_connected_components(g_, remaining, region_, scc_);
+  }
+  for (const std::vector<StateId>& c : subs) {
+    if (component_hosts_fair_cycle(c, cycle_out)) return true;
+  }
+  return false;
+}
+
+std::vector<StateId> FairCycleSearch::path_in_component(StateId from, StateId to) {
+  // BFS in successor order: without an edge filter a leg is the path
+  // StateGraph::path picks. Only visited entries of parent_ are reset.
+  if (parent_.empty()) parent_.assign(g_.num_states(), StateStore::kNone);
+  std::vector<StateId> visited = {from};
+  parent_[from] = from;
+  for (std::size_t head = 0; head < visited.size() && parent_[to] == StateStore::kNone;
+       ++head) {
+    const StateId u = visited[head];
+    for (StateId v : g_.successors(u)) {
+      if (parent_[v] != StateStore::kNone || !region_.node(v) || !region_.edge(u, v)) continue;
+      parent_[v] = u;
+      visited.push_back(v);
+    }
+  }
+  std::vector<StateId> path;
+  if (parent_[to] != StateStore::kNone) {
+    for (StateId s = to; s != from; s = parent_[s]) path.push_back(s);
+    path.push_back(from);
+    std::reverse(path.begin(), path.end());
+  }
+  for (StateId s : visited) parent_[s] = StateStore::kNone;
+  return path;
+}
+
+std::optional<bool> FairCycleSearch::check_marked(const std::vector<StateId>& comp,
+                                                  std::vector<StateId>& cycle_out,
+                                                  std::vector<StateId>& remaining) {
+  OPENTLA_OBS_COUNT(LassoCandidates);
+
+  if (!component_has_cycle(g_, comp, region_)) return false;
 
   // --- Streett pass ---
-  std::vector<char> needs_discharge(q.streett.size(), 0);
-  std::vector<EdgeWitness> discharge(q.streett.size());
-  for (std::size_t i = 0; i < q.streett.size(); ++i) {
-    const StreettObligation& ob = q.streett[i];
+  std::vector<char> needs_discharge(q_.streett.size(), 0);
+  std::vector<EdgeWitness> discharge(q_.streett.size());
+  for (std::size_t i = 0; i < q_.streett.size(); ++i) {
+    const StreettObligation& ob = q_.streett[i];
     bool has_trigger = std::any_of(comp.begin(), comp.end(),
                                    [&](StateId s) { return ob.trigger(s); });
     if (!has_trigger) continue;
     bool found = false;
     for (StateId u : comp) {
-      for (StateId v : g.successors(u)) {
-        if (!region.member[v] || !q.filter.edge(u, v)) continue;
+      for (StateId v : g_.successors(u)) {
+        if (!member_[v] || !q_.filter.edge(u, v)) continue;
         if (ob.step_ok(u, v)) {
           discharge[i] = {u, v};
           found = true;
@@ -64,25 +116,18 @@ bool check_component(const StateGraph& g, const FairCycleQuery& q,
       continue;
     }
     // The pair's triggers cannot be discharged inside this SCC: remove them
-    // and re-decompose.
-    std::vector<StateId> remaining;
+    // and re-decompose (the caller does, once this component is unmarked).
     for (StateId s : comp) {
       if (!ob.trigger(s)) remaining.push_back(s);
     }
     if (remaining.empty()) return false;
-    Region sub{&q, std::vector<char>(g.num_states(), 0)};
-    for (StateId s : remaining) sub.member[s] = 1;
-    for (const std::vector<StateId>& c :
-         strongly_connected_components(g, remaining, sub.filter())) {
-      if (check_component(g, q, c, cycle_out)) return true;
-    }
-    return false;
+    return std::nullopt;
   }
 
   // --- Buechi pass ---
   // Witnesses to visit: a node (to == kNone) or an edge.
   std::vector<EdgeWitness> witnesses;
-  for (const BuchiObligation& ob : q.buchi) {
+  for (const BuchiObligation& ob : q_.buchi) {
     bool satisfied = false;
     if (ob.state_ok) {
       for (StateId s : comp) {
@@ -95,8 +140,8 @@ bool check_component(const StateGraph& g, const FairCycleQuery& q,
     }
     if (!satisfied && ob.step_ok) {
       for (StateId u : comp) {
-        for (StateId v : g.successors(u)) {
-          if (!region.member[v] || !q.filter.edge(u, v)) continue;
+        for (StateId v : g_.successors(u)) {
+          if (!member_[v] || !q_.filter.edge(u, v)) continue;
           if (ob.step_ok(u, v)) {
             witnesses.push_back({u, v});
             satisfied = true;
@@ -109,7 +154,7 @@ bool check_component(const StateGraph& g, const FairCycleQuery& q,
     // Shrinking the SCC cannot create a Buechi witness, so fail outright.
     if (!satisfied) return false;
   }
-  for (std::size_t i = 0; i < q.streett.size(); ++i) {
+  for (std::size_t i = 0; i < q_.streett.size(); ++i) {
     if (needs_discharge[i]) witnesses.push_back(discharge[i]);
   }
 
@@ -117,8 +162,8 @@ bool check_component(const StateGraph& g, const FairCycleQuery& q,
   if (witnesses.empty()) {
     // Any cycle in the SCC will do; find one allowed edge and close it.
     for (StateId u : comp) {
-      for (StateId v : g.successors(u)) {
-        if (!region.member[v] || !q.filter.edge(u, v)) continue;
+      for (StateId v : g_.successors(u)) {
+        if (!member_[v] || !q_.filter.edge(u, v)) continue;
         witnesses.push_back({u, v});
         break;
       }
@@ -131,8 +176,7 @@ bool check_component(const StateGraph& g, const FairCycleQuery& q,
   walk.push_back(anchor);
   auto extend_to = [&](StateId target) {
     if (walk.back() == target) return;
-    std::vector<StateId> leg =
-        g.path(walk.back(), [&](StateId s) { return s == target; }, in_comp.node_ok);
+    const std::vector<StateId> leg = path_in_component(walk.back(), target);
     if (leg.empty()) {
       throw std::logic_error("fair_cycle: SCC members not mutually reachable");
     }
@@ -154,15 +198,15 @@ bool check_component(const StateGraph& g, const FairCycleQuery& q,
   // is strongly connected, so a round trip exists).
   if (walk.size() == 1) {
     bool self_loop = false;
-    for (StateId v : g.successors(anchor)) {
-      if (v == anchor && q.filter.edge(anchor, anchor)) {
+    for (StateId v : g_.successors(anchor)) {
+      if (v == anchor && q_.filter.edge(anchor, anchor)) {
         self_loop = true;
         break;
       }
     }
     if (!self_loop) {
-      for (StateId v : g.successors(anchor)) {
-        if (v != anchor && region.member[v] && q.filter.edge(anchor, v)) {
+      for (StateId v : g_.successors(anchor)) {
+        if (v != anchor && member_[v] && q_.filter.edge(anchor, v)) {
           walk.push_back(v);
           break;
         }
@@ -176,14 +220,6 @@ bool check_component(const StateGraph& g, const FairCycleQuery& q,
   return true;
 }
 
-}  // namespace
-
-bool component_hosts_fair_cycle(const StateGraph& g, const FairCycleQuery& q,
-                                const std::vector<StateId>& component,
-                                std::vector<StateId>& cycle) {
-  return check_component(g, q, component, cycle);
-}
-
 std::optional<Lasso> find_fair_cycle(const StateGraph& g, const FairCycleQuery& q) {
   OPENTLA_OBS_SPAN("find_fair_cycle");
   // Every node of a StateGraph is reachable from an initial state by
@@ -194,9 +230,10 @@ std::optional<Lasso> find_fair_cycle(const StateGraph& g, const FairCycleQuery& 
   for (std::size_t i = 0; i < roots.size(); ++i) roots[i] = static_cast<StateId>(i);
   std::vector<std::vector<StateId>> components =
       strongly_connected_components(g, roots, q.filter);
+  FairCycleSearch search(g, q);
   for (const std::vector<StateId>& comp : components) {
     std::vector<StateId> cycle;
-    if (!check_component(g, q, comp, cycle)) continue;
+    if (!search.component_hosts_fair_cycle(comp, cycle)) continue;
     Lasso lasso;
     lasso.cycle = std::move(cycle);
     const StateId anchor = lasso.cycle.front();

@@ -63,11 +63,43 @@ struct FairCycleQuery {
 /// verified outcome for liveness proofs).
 std::optional<Lasso> find_fair_cycle(const StateGraph& g, const FairCycleQuery& q);
 
-/// Tests whether `component` (an SCC of the query's filtered subgraph)
-/// hosts a cycle satisfying all obligations; fills `cycle` on success.
-/// Used by machine-closure checking to find all fairness-supporting SCCs.
-bool component_hosts_fair_cycle(const StateGraph& g, const FairCycleQuery& q,
-                                const std::vector<StateId>& component,
-                                std::vector<StateId>& cycle);
+/// Fair-cycle tests on the components of one query's subgraph. Used by
+/// leads-to and machine-closure checking to find every fairness-supporting
+/// SCC. One membership buffer, one BFS parent buffer and one Tarjan
+/// workspace serve every component tested (marked on entry, cleared on
+/// exit), so testing all SCCs of a graph costs O(states + edges) rather
+/// than O(states) per component. A witness cycle uses only edges the
+/// query's filter allows. Holds references to `g` and `q`, which must
+/// outlive it.
+class FairCycleSearch {
+ public:
+  FairCycleSearch(const StateGraph& g, const FairCycleQuery& q);
+  FairCycleSearch(const FairCycleSearch&) = delete;  // region_ captures `this`
+  FairCycleSearch& operator=(const FairCycleSearch&) = delete;
+
+  /// Tests whether `component` (an SCC of the query's filtered subgraph)
+  /// hosts a cycle satisfying all obligations; fills `cycle` on success.
+  /// Recurses into sub-components after Streett trigger removal.
+  bool component_hosts_fair_cycle(const std::vector<StateId>& component,
+                                  std::vector<StateId>& cycle);
+
+ private:
+  /// One component's test with `comp` marked. nullopt: a Streett pair's
+  /// triggers must go, and the non-empty `remaining` is to be re-decomposed.
+  std::optional<bool> check_marked(const std::vector<StateId>& comp,
+                                   std::vector<StateId>& cycle_out,
+                                   std::vector<StateId>& remaining);
+
+  /// Shortest path from `from` to `to` (both ends included) inside the
+  /// marked component, over edges the query's filter allows; empty if none.
+  std::vector<StateId> path_in_component(StateId from, StateId to);
+
+  const StateGraph& g_;
+  const FairCycleQuery& q_;
+  std::vector<char> member_;      // by StateId; all zero between calls
+  std::vector<StateId> parent_;   // by StateId; kNone between calls
+  SccWorkspace scc_;              // for re-decomposition after Streett pruning
+  SubgraphFilter region_;         // the query's filter, restricted to members
+};
 
 }  // namespace opentla

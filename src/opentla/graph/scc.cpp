@@ -6,14 +6,29 @@
 
 namespace opentla {
 
+namespace {
+constexpr std::uint32_t kUnvisited = UINT32_MAX;
+}  // namespace
+
 std::vector<std::vector<StateId>> strongly_connected_components(
     const StateGraph& g, const std::vector<StateId>& roots, const SubgraphFilter& filter) {
+  SccWorkspace ws;
+  return strongly_connected_components(g, roots, filter, ws);
+}
+
+std::vector<std::vector<StateId>> strongly_connected_components(
+    const StateGraph& g, const std::vector<StateId>& roots, const SubgraphFilter& filter,
+    SccWorkspace& ws) {
   OPENTLA_OBS_COUNT(SccPasses);
   const std::size_t n = g.num_states();
-  constexpr std::uint32_t kUnvisited = UINT32_MAX;
-  std::vector<std::uint32_t> index(n, kUnvisited);
-  std::vector<std::uint32_t> lowlink(n, 0);
-  std::vector<bool> on_stack(n, false);
+  if (ws.index.size() != n) {
+    ws.index.assign(n, kUnvisited);
+    ws.lowlink.assign(n, 0);
+    ws.on_stack.assign(n, 0);
+  }
+  std::vector<std::uint32_t>& index = ws.index;
+  std::vector<std::uint32_t>& lowlink = ws.lowlink;
+  std::vector<char>& on_stack = ws.on_stack;
   std::vector<StateId> stack;
   std::vector<std::vector<StateId>> components;
   std::uint32_t next_index = 0;
@@ -29,12 +44,12 @@ std::vector<std::vector<StateId>> strongly_connected_components(
     dfs.push_back({root});
     index[root] = lowlink[root] = next_index++;
     stack.push_back(root);
-    on_stack[root] = true;
+    on_stack[root] = 1;
 
     while (!dfs.empty()) {
       Frame& frame = dfs.back();
       const StateId u = frame.node;
-      const std::vector<StateId>& adj = g.successors(u);
+      const std::span<const StateId> adj = g.successors(u);
       bool descended = false;
       while (frame.child < adj.size()) {
         const StateId v = adj[frame.child++];
@@ -42,7 +57,7 @@ std::vector<std::vector<StateId>> strongly_connected_components(
         if (index[v] == kUnvisited) {
           index[v] = lowlink[v] = next_index++;
           stack.push_back(v);
-          on_stack[v] = true;
+          on_stack[v] = 1;
           dfs.push_back({v});
           descended = true;
           break;
@@ -57,7 +72,7 @@ std::vector<std::vector<StateId>> strongly_connected_components(
         do {
           w = stack.back();
           stack.pop_back();
-          on_stack[w] = false;
+          on_stack[w] = 0;
           comp.push_back(w);
         } while (w != u);
         components.push_back(std::move(comp));
@@ -68,6 +83,11 @@ std::vector<std::vector<StateId>> strongly_connected_components(
         lowlink[parent] = std::min(lowlink[parent], lowlink[u]);
       }
     }
+  }
+  // Tarjan puts every node it visits into a component (popping it off the
+  // stack), so these are exactly the entries to reset.
+  for (const std::vector<StateId>& comp : components) {
+    for (StateId s : comp) index[s] = kUnvisited;
   }
   return components;
 }

@@ -7,6 +7,7 @@
 
 #pragma once
 
+#include <cstdint>
 #include <functional>
 #include <vector>
 
@@ -30,6 +31,20 @@ struct SubgraphFilter {
 /// included; callers that need cycles must check nontriviality.
 std::vector<std::vector<StateId>> strongly_connected_components(
     const StateGraph& g, const std::vector<StateId>& roots, const SubgraphFilter& filter);
+
+/// Tarjan's per-state arrays, kept across calls. A call resets only the
+/// entries it visited, so repeated decompositions of small regions of one
+/// graph cost O(region), not O(states) each.
+struct SccWorkspace {
+  std::vector<std::uint32_t> index;
+  std::vector<std::uint32_t> lowlink;
+  std::vector<char> on_stack;
+};
+
+/// The same decomposition, reusing `ws` (sized to `g` on first use).
+std::vector<std::vector<StateId>> strongly_connected_components(
+    const StateGraph& g, const std::vector<StateId>& roots, const SubgraphFilter& filter,
+    SccWorkspace& ws);
 
 /// True iff the component (a set of nodes of `g`) contains at least one
 /// allowed edge between its members — i.e. can host an infinite run.

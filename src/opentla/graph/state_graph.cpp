@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "opentla/obs/memory.hpp"
@@ -33,19 +34,44 @@ StateGraph::StateGraph(const VarTable& vars, const std::vector<State>& init_stat
   par::ExploreResult r = par::explore(init_states, succ, opts, threads);
   store_ = std::move(r.store);
   init_ = std::move(r.init);
-  adjacency_ = std::move(r.adjacency);
-  num_edges_ = r.num_edges;
+  adj_ = std::move(r.adjacency);
   stop_reason_ = r.stop_reason;
   account_adjacency();
 }
 
 void StateGraph::account_adjacency() {
   if (!obs::enabled()) return;
-  std::uint64_t bytes = adjacency_.capacity() * sizeof(std::vector<StateId>);
-  for (const std::vector<StateId>& out : adjacency_) {
-    bytes += out.capacity() * sizeof(StateId);
+  adj_mem_.set(adj_.offsets.capacity() * sizeof(std::uint64_t) +
+               adj_.targets.capacity() * sizeof(StateId));
+}
+
+std::uint64_t StateGraph::edge_id(StateId s, StateId t) const {
+  if (s >= num_states()) {
+    throw std::logic_error("StateGraph::edge_id: no state " + std::to_string(s));
   }
-  adj_mem_.set(bytes);
+  const std::span<const StateId> out = successors(s);
+  const auto it = std::lower_bound(out.begin(), out.end(), t);
+  if (it == out.end() || *it != t) {
+    throw std::logic_error("StateGraph::edge_id: no edge " + std::to_string(s) + " -> " +
+                           std::to_string(t));
+  }
+  return adj_.offsets[s] + static_cast<std::uint64_t>(it - out.begin());
+}
+
+CsrAdjacency StateGraph::reverse() const {
+  // Counting sort by target: predecessors come out ascending because the
+  // sources are visited in id order.
+  const std::size_t n = num_states();
+  CsrAdjacency rev;
+  rev.offsets.assign(n + 1, 0);
+  for (StateId t : adj_.targets) ++rev.offsets[t + 1];
+  for (std::size_t i = 0; i < n; ++i) rev.offsets[i + 1] += rev.offsets[i];
+  rev.targets.resize(adj_.targets.size());
+  std::vector<std::uint64_t> fill(rev.offsets.begin(), rev.offsets.end() - 1);
+  for (StateId u = 0; u < n; ++u) {
+    for (StateId v : successors(u)) rev.targets[fill[v]++] = u;
+  }
+  return rev;
 }
 
 void StateGraph::explore_serial(const std::vector<State>& init_states, const SuccessorFn& succ,
@@ -73,7 +99,6 @@ void StateGraph::explore_serial(const std::vector<State>& init_states, const Suc
     if (store_.size() > before) {
       OPENTLA_OBS_COUNT(StatesGenerated);
       frontier.push_back(id);
-      adjacency_.emplace_back();
     }
     init_.push_back(id);
   }
@@ -92,11 +117,15 @@ void StateGraph::explore_serial(const std::vector<State>& init_states, const Suc
     OPENTLA_OBS_LEVEL_SET(FrontierSize, frontier.size());
     const StateId id = frontier.front();
     frontier.pop_front();
+    // FIFO expansion of states numbered in discovery order visits ids in
+    // ascending order, so this state's row is the next CSR row.
+    if (id != adj_.num_nodes()) throw std::logic_error("StateGraph: BFS left id order");
     // Copy: store_ may reallocate while successors are interned.
     const State s = store_.get(id);
-    // Collected locally: the callback may grow adjacency_ (invalidating
-    // references into it) while new successors are interned.
-    std::vector<StateId> out;
+    // Successor ids go straight into the row; the engine, not the
+    // provider, removes repeated emissions (sort + unique below).
+    std::vector<StateId>& targets = adj_.targets;
+    const std::size_t row = targets.size();
     succ(s, [&](const State& t) {
       if (store_.size() >= max_states) {
         const StateId known = store_.find(t);
@@ -104,7 +133,7 @@ void StateGraph::explore_serial(const std::vector<State>& init_states, const Suc
           stop_reason_ = run::StopReason::kStateBudget;
           return;
         }
-        out.push_back(known);
+        targets.push_back(known);
         return;
       }
       const std::size_t before = store_.size();
@@ -112,20 +141,21 @@ void StateGraph::explore_serial(const std::vector<State>& init_states, const Suc
       if (store_.size() > before) {
         OPENTLA_OBS_COUNT(StatesGenerated);
         frontier.push_back(tid);
-        adjacency_.emplace_back();
       }
-      out.push_back(tid);
+      targets.push_back(tid);
     });
-    if (add_self_loops) out.push_back(id);
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
+    if (add_self_loops) targets.push_back(id);
+    const auto first = targets.begin() + static_cast<std::ptrdiff_t>(row);
+    std::sort(first, targets.end());
+    targets.erase(std::unique(first, targets.end()), targets.end());
     // Fanout = final deduped out-degree (incl. any stuttering self-loop);
     // the parallel engine observes the same quantity after renumbering,
     // so the histogram is engine-independent for a given spec.
-    OPENTLA_OBS_HIST(SuccessorFanout, out.size());
-    num_edges_ += out.size();
-    adjacency_[id] = std::move(out);
+    OPENTLA_OBS_HIST(SuccessorFanout, targets.size() - row);
+    adj_.close_row();
   }
+  // A partial run leaves discovered states unexpanded: empty rows.
+  while (adj_.num_nodes() < store_.size()) adj_.close_row();
   OPENTLA_OBS_LEVEL_SET(FrontierSize, 0);
   OPENTLA_OBS_GAUGE_MAX(PeakGraphStates, store_.size());
   account_adjacency();
@@ -152,7 +182,7 @@ std::vector<StateId> StateGraph::shortest_path_to(
   while (!queue.empty()) {
     const StateId u = queue.front();
     queue.pop_front();
-    for (StateId v : adjacency_[u]) {
+    for (StateId v : successors(u)) {
       if (visited[v]) continue;
       visited[v] = true;
       parent[v] = u;
@@ -178,7 +208,7 @@ std::vector<StateId> StateGraph::path(StateId from, const std::function<bool(Sta
   while (!queue.empty()) {
     const StateId u = queue.front();
     queue.pop_front();
-    for (StateId v : adjacency_[u]) {
+    for (StateId v : successors(u)) {
       if (visited[v]) continue;
       if (filter && !filter(v)) continue;
       visited[v] = true;

@@ -11,11 +11,17 @@
 // the graph — state ids, adjacency order, initial() order — is bit-identical
 // to the serial BFS regardless of thread count; downstream SCC, fair-cycle,
 // and trace code never observes which engine ran.
+//
+// Adjacency is compressed sparse row (CSR): node s's successors are
+// targets[offsets[s] .. offsets[s+1]), sorted and duplicate-free, and an
+// index into `targets` is the edge's dense id. Per-edge data (fairness
+// step labels, see check/liveness) lives in flat arrays indexed by edge id.
 
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "opentla/run/budget.hpp"
@@ -54,6 +60,22 @@ struct ExploreOptions {
   run::RunBudget* budget = nullptr;
 };
 
+/// Compressed sparse row adjacency over nodes 0 .. num_nodes()-1. Node s's
+/// neighbors are targets[offsets[s] .. offsets[s+1]); that index is the
+/// edge's dense id. Used for the forward graph and its reverse.
+struct CsrAdjacency {
+  std::vector<std::uint64_t> offsets{0};  // num_nodes() + 1 entries
+  std::vector<StateId> targets;
+
+  std::size_t num_nodes() const { return offsets.size() - 1; }
+  std::span<const StateId> neighbors(StateId s) const {
+    return {targets.data() + offsets[s], targets.data() + offsets[s + 1]};
+  }
+  /// Closes the row of the next node: its neighbors are the targets
+  /// appended since the previous row was closed.
+  void close_row() { offsets.push_back(targets.size()); }
+};
+
 class StateGraph {
  public:
   using SuccessorFn = std::function<void(const State&, const std::function<void(const State&)>&)>;
@@ -71,10 +93,21 @@ class StateGraph {
 
   const VarTable& vars() const { return *vars_; }
   const StateStore& store() const { return store_; }
-  std::size_t num_states() const { return adjacency_.size(); }
-  std::size_t num_edges() const { return num_edges_; }
+  std::size_t num_states() const { return adj_.num_nodes(); }
+  std::size_t num_edges() const { return adj_.targets.size(); }
   const std::vector<StateId>& initial() const { return init_; }
-  const std::vector<StateId>& successors(StateId s) const { return adjacency_[s]; }
+  /// The successors of s, sorted ascending and without duplicates. An
+  /// unexpanded frontier state of a partial graph has none.
+  std::span<const StateId> successors(StateId s) const { return adj_.neighbors(s); }
+  /// Dense id of s's first out-edge: successors(s)[i] is edge
+  /// edge_begin(s) + i, and ids run 0 .. num_edges()-1 over the graph.
+  std::uint64_t edge_begin(StateId s) const { return adj_.offsets[s]; }
+  /// The id of edge s -> t. Throws std::logic_error when t is not a
+  /// successor of s: a non-edge never aliases another edge's slot.
+  std::uint64_t edge_id(StateId s, StateId t) const;
+  /// The reverse graph: reverse().neighbors(t) lists t's predecessors,
+  /// ascending. O(states + edges) to build; callers keep the result.
+  CsrAdjacency reverse() const;
   /// The interned state, decoded from the store's arena record (by value:
   /// the canonical bytes may live in a spilled segment — see StateStore::get).
   State state(StateId s) const { return store_.get(s); }
@@ -96,15 +129,13 @@ class StateGraph {
  private:
   void explore_serial(const std::vector<State>& init_states, const SuccessorFn& succ,
                       bool add_self_loops, std::size_t max_states, run::RunBudget* budget);
-  /// Re-measure the adjacency structure into the state-graph memory
-  /// domain (one O(states) capacity walk after construction).
+  /// Re-measure the adjacency arrays into the state-graph memory domain.
   void account_adjacency();
 
   const VarTable* vars_;
   StateStore store_;
   std::vector<StateId> init_;
-  std::vector<std::vector<StateId>> adjacency_;
-  std::size_t num_edges_ = 0;
+  CsrAdjacency adj_;
   run::StopReason stop_reason_ = run::StopReason::kCompleted;
   obs::MemTally adj_mem_{obs::MemDomain::StateGraph};
 };

@@ -62,8 +62,8 @@ bool ActionSuccessors::run(const State& s, bool existential_only,
                            std::unordered_set<State, StateHash>* seen,
                            const std::function<bool(const State&)>& fn) const {
   // `fn` returns true to stop early; the walk stops immediately. The walk
-  // may reach one state on several branches, so repeats are filtered here
-  // (through `seen`) and callers see each successor once.
+  // may reach one state on several branches; with `seen`, repeats are
+  // filtered here and callers see each successor once.
   //
   // Determinism contract: for a fixed `s`, successors are visited in a
   // fixed order — the walk's branch order (disjunctions left to right,
@@ -176,10 +176,17 @@ bool ActionSuccessors::guards_enabled(const State& s) const {
 }
 
 void ActionSuccessors::for_each_successor(const State& s,
-                                          const std::function<void(const State&)>& fn,
-                                          std::unordered_set<State, StateHash>* seen) const {
-  std::unordered_set<State, StateHash> own;
-  run(s, /*existential_only=*/false, seen != nullptr ? seen : &own, [&](const State& t) {
+                                          const std::function<void(const State&)>& fn) const {
+  std::unordered_set<State, StateHash> seen;
+  run(s, /*existential_only=*/false, &seen, [&](const State& t) {
+    fn(t);
+    return false;
+  });
+}
+
+void ActionSuccessors::for_each_emission(const State& s,
+                                         const std::function<void(const State&)>& fn) const {
+  run(s, /*existential_only=*/false, nullptr, [&](const State& t) {
     fn(t);
     return false;
   });

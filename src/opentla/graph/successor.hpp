@@ -52,10 +52,14 @@ class ActionSuccessors {
   void set_label(const std::string& label);
 
   /// Calls `fn` for every state t with action(s, t), without duplicates.
-  /// With `seen`, states already in it are skipped too and reported ones
-  /// are added to it, so several generators can share one set.
-  void for_each_successor(const State& s, const std::function<void(const State&)>& fn,
-                          std::unordered_set<State, StateHash>* seen = nullptr) const;
+  void for_each_successor(const State& s, const std::function<void(const State&)>& fn) const;
+
+  /// Calls `fn` for every state t with action(s, t) in the same fixed
+  /// order, but may repeat a state (the walk can reach one state on
+  /// several branches): for exploration engines, which intern every
+  /// emission and dedup by StateId anyway. Repeats count toward the
+  /// SuccessorsEnumerated and ActionFired counters.
+  void for_each_emission(const State& s, const std::function<void(const State&)>& fn) const;
 
   /// Convenience: the successor list of s.
   std::vector<State> successors(const State& s) const;

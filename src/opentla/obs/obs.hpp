@@ -37,7 +37,8 @@ namespace opentla::obs {
 // --- Counters: monotonic event totals, one atomic cell each. ---
 enum class Counter : std::size_t {
   StatesGenerated,         // states interned while building a StateGraph
-  SuccessorsEnumerated,    // distinct successors emitted by ActionSuccessors
+  SuccessorsEnumerated,    // successors emitted by ActionSuccessors (graph builds
+                           // count repeats the engine then dedups by id)
   EnabledEvaluations,      // ENABLED queries answered by ActionSuccessors
   ConfigsExpanded,         // hidden-variable assignments stepped by PrefixMachine
   SccPasses,               // Tarjan decompositions run
@@ -88,6 +89,7 @@ enum class Level : std::size_t {
 // construction); counting is an index into a fixed table.
 enum class LabeledCounter : std::size_t {
   ActionFired,    // successors emitted, attributed to the labeled action
+                  // (on composite builds, before the engine's id dedup)
   ActionEnabled,  // expansions in which the labeled action had a successor
   kCount
 };

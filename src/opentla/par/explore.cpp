@@ -254,30 +254,32 @@ ExploreResult explore(const std::vector<State>& init_states,
   res.store.set_spill_threshold(opts.spill_at);
   res.stop_reason = stop;
   const std::size_t kept = order.size();
-  res.adjacency.resize(kept);
   for (std::size_t c = 0; c < kept; ++c) res.store.intern(state_of[order[c]]);
+  std::vector<StateId>& targets = res.adjacency.targets;
+  res.adjacency.offsets.reserve(kept + 1);
   for (std::size_t c = 0; c < kept; ++c) {
     const StateId pid = order[c];
-    std::vector<StateId> out;
-    out.reserve(raw_of[pid].size() + 1);
+    const std::size_t row = targets.size();
     for (StateId t : raw_of[pid]) {
       // canon is kNone for budget-dropped targets; their edges go with them.
-      if (canon[t] != StateStore::kNone) out.push_back(canon[t]);
+      if (canon[t] != StateStore::kNone) targets.push_back(canon[t]);
     }
     // The stuttering self-loop marks an *expanded* node; an unexpanded
-    // frontier survivor of a partial run keeps an empty adjacency, exactly
-    // like the serial engine's unexpanded frontier. On completed runs every
+    // frontier survivor of a partial run keeps an empty row, exactly like
+    // the serial engine's unexpanded frontier. On completed runs every
     // kept node is expanded, so this is the historical behavior.
-    if (opts.add_self_loops && expanded[pid]) out.push_back(static_cast<StateId>(c));
-    std::sort(out.begin(), out.end());
-    out.erase(std::unique(out.begin(), out.end()), out.end());
+    if (opts.add_self_loops && expanded[pid]) targets.push_back(static_cast<StateId>(c));
+    const auto first = targets.begin() + static_cast<std::ptrdiff_t>(row);
+    std::sort(first, targets.end());
+    targets.erase(std::unique(first, targets.end()), targets.end());
     if (expanded[pid]) {
       // Same fanout definition as the serial engine (final deduped
       // out-degree), so the histogram matches it bit for bit.
-      OPENTLA_OBS_HIST(SuccessorFanout, out.size());
+      OPENTLA_OBS_HIST(SuccessorFanout, targets.size() - row);
     }
-    res.num_edges += out.size();
-    res.adjacency[c] = std::move(out);
+    res.adjacency.close_row();
+    // The raw list is dead once its row is written.
+    std::vector<StateId>().swap(raw_of[pid]);
   }
   res.init.reserve(init_pids.size());
   for (StateId pid : init_pids) {

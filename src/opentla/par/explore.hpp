@@ -31,14 +31,13 @@
 namespace opentla::par {
 
 /// The canonical exploration result a StateGraph adopts: states interned
-/// in serial-BFS order, adjacency sorted per node, initial ids sorted.
+/// in serial-BFS order, CSR adjacency sorted per node, initial ids sorted.
 /// stop_reason != kCompleted marks a graceful partial result (the state
 /// budget, a deadline, the RSS ceiling, or a stop signal cut it short).
 struct ExploreResult {
   StateStore store;
   std::vector<StateId> init;
-  std::vector<std::vector<StateId>> adjacency;
-  std::size_t num_edges = 0;
+  CsrAdjacency adjacency;
   run::StopReason stop_reason = run::StopReason::kCompleted;
 };
 

@@ -80,7 +80,7 @@ LassoBehavior random_graph_lasso(const StateGraph& g, std::mt19937& rng,
   // the result is a pure function of (g, rng state).
   std::unordered_map<StateId, std::size_t> first_seen = {{cur, 0}};
   for (std::size_t step = 0; step < max_steps; ++step) {
-    const std::vector<StateId>& succ = g.successors(cur);
+    const std::span<const StateId> succ = g.successors(cur);
     if (succ.empty()) break;  // only possible without self-loops
     cur = succ[std::uniform_int_distribution<std::size_t>(0, succ.size() - 1)(rng)];
     auto it = first_seen.find(cur);

@@ -19,22 +19,35 @@
 // valued domains and a sequence variable. Successor sets, enabled() and
 // guards_enabled() must agree.
 //
+// Another axis pins the liveness layer's per-edge fairness labels and
+// per-state ENABLED cache to per-pair evaluation, on every bundled spec,
+// the fig9 CDQ (with the refinement mapping's labels) and random
+// composites.
+//
 // Every assertion carries the failing seed and case index so a failure is
 // reproducible in isolation.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <random>
+#include <span>
+#include <sstream>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "opentla/analysis/independence.hpp"
 #include "opentla/check/invariant.hpp"
+#include "opentla/check/liveness.hpp"
+#include "opentla/check/refinement.hpp"
 #include "opentla/compose/compose.hpp"
+#include "opentla/expr/analysis.hpp"
 #include "opentla/expr/eval.hpp"
 #include "opentla/graph/successor.hpp"
+#include "opentla/parser/parser.hpp"
+#include "opentla/queue/double_queue.hpp"
 #include "opentla/state/state_space.hpp"
 #include "opentla/semantics/enumerate.hpp"
 #include "opentla/semantics/oracle.hpp"
@@ -123,7 +136,8 @@ TEST_P(DifferentialHarness, SerialParallelAndSemanticVerdictsAgree) {
     ASSERT_EQ(serial.initial(), parallel.initial());
     for (StateId s = 0; s < serial.num_states(); ++s) {
       ASSERT_EQ(serial.state(s), parallel.state(s)) << "state id " << s;
-      ASSERT_EQ(serial.successors(s), parallel.successors(s)) << "adjacency of " << s;
+      ASSERT_TRUE(std::ranges::equal(serial.successors(s), parallel.successors(s)))
+          << "adjacency of " << s;
     }
 
     // 2. Both graphs yield the same invariant verdict.
@@ -159,6 +173,158 @@ TEST_P(DifferentialHarness, SerialParallelAndSemanticVerdictsAgree) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialHarness, ::testing::Range(0u, kSeeds));
+
+// --- Per-edge fairness labels against the per-pair oracle. ---
+//
+// FairnessCompiler answers <A>_v on an edge from flat per-edge labels,
+// filled a source state at a time, and ENABLED <A>_v from a per-state
+// cache. The oracle is the per-pair path those replaced: <A>_v evaluated
+// afresh on each edge's decoded pair, ENABLED afresh on each state. Every
+// edge and state of the graph is compared, through every obligation and
+// filter the compiler hands out. Edges are queried last-first, so labels
+// are mostly filled by a query on a source's later out-edge.
+
+/// The per-pair step oracle: <A>_v on one decoded pair.
+bool per_pair_step(const VarTable& vars, const Expr& act, const State& s, const State& t) {
+  return eval_action(act, vars, s, t);
+}
+
+void expect_labels_match_per_pair_oracle(const StateGraph& g, const Fairness& f) {
+  SCOPED_TRACE("fairness " + (f.label.empty() ? std::string("(unlabeled)") : f.label));
+  const VarTable& vars = g.vars();
+  const Expr act = action_changing(f.action, f.sub);
+  FairnessCompiler compiler(g);
+  const BuchiObligation wf = compiler.constraint_wf(f);
+  const StreettObligation sf = compiler.constraint_sf(f);
+  FairCycleQuery not_wf;
+  Fairness weak = f;
+  weak.kind = Fairness::Kind::Weak;
+  compiler.restrict_to_violation(weak, not_wf);
+  for (StateId s = g.num_states(); s-- > 0;) {
+    const State cur = g.state(s);
+    const bool enabled = eval_enabled(act, vars, cur);
+    ASSERT_EQ(wf.state_ok(s), !enabled) << "ENABLED at " << cur.to_string(vars);
+    ASSERT_EQ(sf.trigger(s), enabled) << "ENABLED at " << cur.to_string(vars);
+    ASSERT_EQ(not_wf.filter.node(s), enabled) << "~WF node at " << cur.to_string(vars);
+    const std::span<const StateId> out = g.successors(s);
+    for (auto it = out.rbegin(); it != out.rend(); ++it) {
+      const State next = g.state(*it);
+      const bool step = per_pair_step(vars, act, cur, next);
+      ASSERT_EQ(wf.step_ok(s, *it), step)
+          << cur.to_string(vars) << " -> " << next.to_string(vars);
+      ASSERT_EQ(sf.step_ok(s, *it), step);
+      ASSERT_EQ(not_wf.filter.edge(s, *it), !step);
+    }
+  }
+}
+
+/// Every named action of `mod` as a weak fairness condition over the
+/// module's subscript, plus the module's own fairness conditions.
+std::vector<Fairness> label_inputs(const ParsedModule& mod) {
+  std::vector<Fairness> out = mod.spec.fairness;
+  std::vector<Expr> actions;
+  for (const std::string& name : mod.action_names) actions.push_back(mod.definitions.at(name));
+  if (actions.empty()) actions = flatten_or(mod.spec.next);
+  for (std::size_t i = 0; i < actions.size(); ++i) {
+    Fairness f;
+    f.sub = mod.spec.sub;
+    f.action = actions[i];
+    f.label = "WF(action " + std::to_string(i + 1) + ")";
+    out.push_back(std::move(f));
+  }
+  return out;
+}
+
+TEST(FairnessLabels, MatchPerPairOracleOnEveryBundledSpec) {
+  const std::vector<std::string> specs = {
+      "counter",        "counter_mod2",   "hour_clock",     "mutex",
+      "peterson",       "round_robin",    "ag_queue/g",     "ag_queue/qe1",
+      "ag_queue/qe2",   "ag_queue/qedbl", "ag_queue/qm1",   "ag_queue/qm2",
+      "ag_queue/qmdbl"};
+  for (const std::string& name : specs) {
+    SCOPED_TRACE(name);
+    std::ifstream in(std::string(OPENTLA_SPECS_DIR) + "/" + name + ".tla");
+    ASSERT_TRUE(in) << "cannot open spec " << name;
+    std::stringstream text;
+    text << in.rdbuf();
+    const ParsedModule mod = parse_module(text.str());
+    // Explored the way `tlacheck` explores a module: variables outside the
+    // subscript are free environment moves.
+    const CanonicalSpec spec = mod.spec.unhidden();
+    std::vector<char> covered(mod.vars->size(), 0);
+    for (VarId v : spec.sub) covered[v] = 1;
+    std::vector<VarId> env;
+    for (VarId v = 0; v < mod.vars->size(); ++v) {
+      if (!covered[v]) env.push_back(v);
+    }
+    std::vector<CompositePart> parts = {{spec, true}};
+    std::vector<std::vector<VarId>> free_tuples;
+    if (!env.empty()) {
+      CanonicalSpec frame;
+      frame.init = ex::top();
+      frame.next = ex::top();
+      frame.sub = env;
+      parts.push_back({frame, false});
+      free_tuples.push_back(env);
+    }
+    const StateGraph g = build_composite_graph(*mod.vars, parts, free_tuples);
+    ASSERT_GT(g.num_edges(), 0u);
+    for (const Fairness& f : label_inputs(mod)) expect_labels_match_per_pair_oracle(g, f);
+  }
+}
+
+TEST(FairnessLabels, MatchPerPairOracleOnTheFig9Cdq) {
+  const DoubleQueueSystem sys = make_double_queue(/*capacity=*/1, /*num_values=*/2);
+  const CanonicalSpec cdq = make_cdq(sys);
+  const StateGraph g = build_composite_graph(
+      sys.vars, {{cdq.unhidden(), true}, {make_pin(sys.vars, {sys.q}, "PinQ"), false}},
+      /*free_tuples=*/{}, /*pinned=*/{sys.q});
+  ASSERT_GT(g.num_states(), 20u);
+  std::vector<Fairness> fs = cdq.fairness;
+  for (const Expr& a : flatten_or(cdq.next)) {
+    Fairness f;
+    f.sub = cdq.sub;
+    f.action = a;
+    fs.push_back(std::move(f));
+  }
+  for (const Fairness& f : fs) expect_labels_match_per_pair_oracle(g, f);
+
+  // Refinement labels the same way on mapped states: the big queue's
+  // fairness on q |-> q2 \o buffer(z) \o q1, against the mapped pairs.
+  const RefinementMapping mapping = mapping_by_name(sys.vars, sys.vars, {{"q", sys.qbar}});
+  std::vector<State> mapped;
+  for (StateId s = 0; s < g.num_states(); ++s) mapped.push_back(mapping.map(g.state(s)));
+  for (const Fairness& hf : sys.dbl.complete.fairness) {
+    const Expr act = action_changing(hf.action, hf.sub);
+    std::vector<signed char> labels(g.num_edges(), -1);
+    for (StateId s = 0; s < g.num_states(); ++s) {
+      label_out_edges(g, sys.vars, act, s, [&](StateId u) -> const State& { return mapped[u]; },
+                      labels);
+      for (StateId t : g.successors(s)) {
+        ASSERT_EQ(labels[g.edge_id(s, t)] == 1,
+                  per_pair_step(sys.vars, act, mapped[s], mapped[t]))
+            << hf.label << " on " << s << " -> " << t;
+      }
+    }
+  }
+}
+
+TEST_P(DifferentialHarness, FairnessLabelsMatchPerPairOracle) {
+  const unsigned seed = GetParam();
+  CaseGen gen(seed);
+  for (unsigned c = 0; c < kCasesPerSeed; ++c) {
+    SCOPED_TRACE("seed=" + std::to_string(seed) + " case=" + std::to_string(c));
+    const CanonicalSpec sx = gen.spec(gen.x(), gen.y(), "SX");
+    const CanonicalSpec sy = gen.spec(gen.y(), gen.x(), "SY");
+    const StateGraph g = build_composite_graph(gen.vars(), {{sx, true}, {sy, true}});
+    for (const CanonicalSpec* part : {&sx, &sy}) {
+      Fairness f;
+      f.sub = part->sub;
+      f.action = part->next;
+      expect_labels_match_per_pair_oracle(g, f);
+    }
+  }
+}
 
 /// Random actions over a four-variable universe: x and y range over three
 /// values, z over two, and s is a sequence over {0, 1} of length at most 1.

@@ -391,7 +391,7 @@ int cmd_deadlock(const ParsedModule& mod, const ExploreOptions& eopts) {
     return partial_result(g.stop_reason(), g.num_states());
   }
   for (StateId s = 0; s < g.num_states(); ++s) {
-    const std::vector<StateId>& succ = g.successors(s);
+    const std::span<const StateId> succ = g.successors(s);
     const bool stuck = succ.size() == 1 && succ[0] == s;
     if (stuck) {
       std::vector<StateId> path = g.shortest_path_to([&](StateId t) { return t == s; });
