@@ -62,6 +62,17 @@ AbsVal AbsVal::boolean(bool may_t, bool may_f) {
 
 AbsVal abstract_domain(const Domain& d) {
   if (d.empty()) return AbsVal::none();
+  switch (d.shape()) {
+    case Domain::Shape::Range:
+      return AbsVal::integer({d.lo(), d.hi()});
+    case Domain::Shape::Bool:
+      return AbsVal::boolean(true, true);
+    case Domain::Shape::Seq:
+    case Domain::Shape::Tuple:
+      return AbsVal::any();
+    case Domain::Shape::Explicit:
+      break;
+  }
   bool all_int = true;
   bool saw_true = false, saw_false = false, all_bool = true;
   std::int64_t lo = kMax, hi = kMin;

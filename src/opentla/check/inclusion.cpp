@@ -60,7 +60,7 @@ ConstraintExplorer::ConstraintExplorer(
       budget_(budget) {
   OPENTLA_OBS_SPAN("ConstraintExplorer.explore");
   auto normalized = [&](State s) {
-    for (VarId v : normalize_) s[v] = vars.domain(v)[0];
+    for (VarId v : normalize_) s[v] = vars.domain(v).first();
     return s;
   };
   auto step_configs = [&](const Value& configs, const State& s, const State& t,

@@ -48,7 +48,7 @@ CanonicalSpec make_pin(const VarTable& vars, const std::vector<VarId>& tuple,
   CanonicalSpec pin;
   pin.name = std::move(name);
   std::vector<Expr> init;
-  for (VarId v : tuple) init.push_back(ex::eq(ex::var(v), ex::constant(vars.domain(v)[0])));
+  for (VarId v : tuple) init.push_back(ex::eq(ex::var(v), ex::constant(vars.domain(v).first())));
   pin.init = ex::land(std::move(init));
   pin.next = ex::bottom();  // [FALSE]_tuple: the tuple never changes
   pin.sub = tuple;

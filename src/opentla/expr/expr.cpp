@@ -154,7 +154,9 @@ std::uint64_t expr_deep_bytes(const Expr& e,
   // so only the spill-over (heap strings, tuple elements) is added here.
   bytes += value_deep_bytes(n.value) - sizeof(Value);
   if (n.local.capacity() > sizeof(std::string) - 1) bytes += n.local.capacity() + 1;
-  for (const Value& v : n.domain.values()) bytes += value_deep_bytes(v);
+  if (n.kind == ExprKind::ExistsVal || n.kind == ExprKind::ForallVal) {
+    bytes += n.domain.deep_bytes();
+  }
   bytes += n.kids.capacity() * sizeof(Expr);
   for (const Expr& k : n.kids) bytes += expr_deep_bytes(k, seen);
   return bytes;

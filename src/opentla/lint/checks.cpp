@@ -164,7 +164,7 @@ void check_fairness_subaction(const ParsedModule& mod, const LintOptions&, std::
 void check_state_space_estimate(const ParsedModule& mod, const LintOptions& opts, std::vector<Diagnostic>& out) {
   long double product = 1.0L;
   for (VarId v : mod.declared) {
-    product *= static_cast<long double>(mod.vars->domain(v).size());
+    product *= mod.vars->domain(v).approx_size();
   }
   if (mod.declared.empty() || product <= static_cast<long double>(opts.state_bound)) return;
   std::ostringstream estimate;

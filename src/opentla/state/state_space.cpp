@@ -20,7 +20,7 @@ std::uint64_t StateSpace::total_states() const {
 State StateSpace::first_state() const {
   std::vector<Value> values;
   values.reserve(vars_->size());
-  for (VarId v = 0; v < vars_->size(); ++v) values.push_back(vars_->domain(v)[0]);
+  for (VarId v = 0; v < vars_->size(); ++v) values.push_back(vars_->domain(v).first());
   return State(std::move(values));
 }
 

@@ -5,11 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <limits>
 
 #include "opentla/analysis/footprint.hpp"
 #include "opentla/lint/checks.hpp"
 #include "opentla/lint/diagnostic.hpp"
 #include "opentla/parser/parser.hpp"
+#include "opentla/state/state_space.hpp"
 
 namespace opentla {
 namespace {
@@ -171,6 +174,26 @@ TEST(LintTest, OTL007StateSpaceEstimate) {
   EXPECT_EQ(d->loc.line, 1u);
   // The default bound admits the same module.
   EXPECT_EQ(find_code(lint_src(src), "OTL007"), nullptr);
+}
+
+TEST(LintTest, OTL007SaturatedSeqDomain) {
+  // Seq(0..9, 30) holds about 1.1e30 sequences: its size saturates, the
+  // estimate does not, and the exact product overflows. None of the three
+  // lists the domain, so all of them return at once.
+  const auto start = std::chrono::steady_clock::now();
+  ParsedModule mod = parse_module(
+      "MODULE Huge\n"
+      "VARIABLE q \\in Seq(0..9, 30)\n"
+      "INIT q = <<>>\n"
+      "NEXT q' = q\n");
+  const Domain& d = mod.vars->domain(*mod.vars->find("q"));
+  EXPECT_EQ(d.size(), std::numeric_limits<std::size_t>::max());
+  const std::vector<Diagnostic> diags = lint::lint_module(mod, {});
+  const Diagnostic* w = find_code(diags, "OTL007");
+  ASSERT_NE(w, nullptr);
+  EXPECT_NE(w->message.find("~1.11e+30 states"), std::string::npos) << w->message;
+  EXPECT_THROW(StateSpace(*mod.vars).total_states(), std::runtime_error);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
 }
 
 TEST(LintTest, OTL008DeadDisjunctAndConstantGuard) {

@@ -2,7 +2,8 @@
 # Build the whole tree with AddressSanitizer + UndefinedBehaviorSanitizer and
 # run the full ctest suite; then build a ThreadSanitizer configuration
 # (TSan excludes ASan, hence its own build dir) and run the concurrency
-# suites under it; then build with the instrumentation compiled out
+# suites (parallel exploration, and the domains' shared lazy value lists)
+# under it; then build with the instrumentation compiled out
 # (-DOPENTLA_OBS=OFF) and run the full suite again, so no test depends on
 # obs counters for its verdict. Dedicated build directories keep all three
 # from polluting (or being polluted by) the regular build/.
@@ -28,16 +29,18 @@ export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
 
 ctest --test-dir "${build_dir}" --output-on-failure -j"$(nproc)"
 
-echo "--- ThreadSanitizer: parallel exploration suites (${tsan_dir}) ---"
+echo "--- ThreadSanitizer: parallel exploration and domain suites (${tsan_dir}) ---"
 cmake -B "${tsan_dir}" -S "${repo_root}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DOPENTLA_TSAN=ON
 cmake --build "${tsan_dir}" -j"$(nproc)" \
-  --target test_parallel_explore test_differential
+  --target test_parallel_explore test_differential test_value
 
+# test_value races four threads on a domain's first values() call, the
+# lazy list that parallel workers share through one VarTable.
 export TSAN_OPTIONS="halt_on_error=1"
 ctest --test-dir "${tsan_dir}" --output-on-failure \
-  -R 'test_parallel_explore|test_differential'
+  -R 'test_parallel_explore|test_differential|test_value'
 
 echo "--- OPENTLA_OBS=OFF: full suite without instrumentation (${obs_off_dir}) ---"
 cmake -B "${obs_off_dir}" -S "${repo_root}" \

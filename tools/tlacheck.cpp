@@ -293,8 +293,18 @@ int cmd_info(const ParsedModule& mod, const std::string& format) {
   for (VarId v = 0; v < mod.vars->size(); ++v) {
     const bool hidden = std::find(mod.spec.hidden.begin(), mod.spec.hidden.end(), v) !=
                         mod.spec.hidden.end();
-    std::cout << "  " << (hidden ? "hidden " : "var    ") << mod.vars->name(v) << " : "
-              << mod.vars->domain(v).size() << " values\n";
+    const Domain& d = mod.vars->domain(v);
+    std::cout << "  " << (hidden ? "hidden " : "var    ") << mod.vars->name(v) << " : ";
+    // A size past SIZE_MAX is saturated there; print the estimate instead.
+    if (d.size() == std::numeric_limits<std::size_t>::max()) {
+      std::ostringstream approx;
+      approx.precision(3);
+      approx << d.approx_size();
+      std::cout << "~" << approx.str();
+    } else {
+      std::cout << d.size();
+    }
+    std::cout << " values\n";
   }
   for (const auto& [name, def] : mod.definitions) {
     std::cout << "  def    " << name << " == " << def.to_string(*mod.vars) << "\n";
