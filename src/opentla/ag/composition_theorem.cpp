@@ -48,20 +48,30 @@ Obligation skipped_obligation(std::string id, std::string description,
   return ob;
 }
 
-/// Folds a possibly-partial inclusion verdict into `ob`: a counterexample
-/// refutes regardless of budget state; "holds" on a truncated product or
-/// pair search is inconclusive, never a discharge.
-void adopt_verdict(Obligation& ob, const ConstraintExplorer::Verdict& verdict) {
-  if (!verdict.holds) {
-    ob.discharged = false;
-  } else if (verdict.stop_reason != run::StopReason::kCompleted) {
-    ob.discharged = false;
+/// Folds a pair-search verdict into `ob`: a counterexample refutes
+/// regardless of budget state (and is rendered into the detail); no
+/// counterexample on a truncated product or pair search is inconclusive,
+/// never a discharge.
+void adopt_verdict(Obligation& ob, const VarTable& vars, const PairSearchResult& verdict) {
+  ob.discharged = verdict.holds;
+  if (!verdict.counterexample.empty()) {
+    ob.detail += "\n" + short_trace(vars, verdict.counterexample);
+    ob.counterexample = verdict.counterexample;
+  } else if (!verdict.holds) {
     ob.inconclusive = true;
     ob.detail += std::string(" [partial: run budget stop (") +
                  run::to_string(verdict.stop_reason) + ")]";
-  } else {
-    ob.discharged = true;
   }
+}
+
+/// The exploration settings of `opts`, for every search the verifier runs.
+ExploreOptions explore_options(const CompositionOptions& opts) {
+  ExploreOptions explore_opts;
+  explore_opts.threads = opts.threads;
+  explore_opts.max_states = opts.max_states;
+  explore_opts.budget = opts.budget;
+  explore_opts.spill_at = opts.spill_at;
+  return explore_opts;
 }
 
 /// The [N]_v of each spec without hidden variables, in order. A constraint
@@ -266,7 +276,7 @@ ProofReport verify_composition(const VarTable& vars, const std::vector<AGSpec>& 
       constraint_specs.push_back(&c);
     }
     ConstraintExplorer explorer(vars, constraints, build_movers(visible_steps(constraint_specs)),
-                                init_enum, normalize, opts.max_nodes, opts.budget);
+                                init_enum, normalize, explore_options(opts));
     for (std::size_t i = 0; i < components.size(); ++i) {
       OPENTLA_OBS_SPAN("fig9:2.1." + std::to_string(i + 1));
       Obligation ob;
@@ -295,8 +305,7 @@ ProofReport verify_composition(const VarTable& vars, const std::vector<AGSpec>& 
       }();
       ob.detail = "product nodes: " + std::to_string(explorer.num_nodes()) +
                   ", pairs: " + std::to_string(verdict.pairs_visited);
-      adopt_verdict(ob, verdict);
-      if (!verdict.holds) ob.detail += "\n" + short_trace(vars, verdict.counterexample);
+      adopt_verdict(ob, vars, verdict);
       report.add(std::move(ob));
     }
   }
@@ -336,14 +345,13 @@ ProofReport verify_composition(const VarTable& vars, const std::vector<AGSpec>& 
       }
       if (!unfrozen.empty()) movers.push_back(free_tuple_mover(vars, unfrozen, steps));
 
-      ConstraintExplorer explorer(vars, constraints, std::move(movers), init_enum, normalize,
-                                  opts.max_nodes, opts.budget);
+      ConstraintExplorer explorer(vars, constraints, movers, init_enum, normalize,
+                                  explore_options(opts));
       PrefixMachine target(vars, goal_p1.closure);
       ConstraintExplorer::Verdict verdict = explorer.check_target(target);
       ob.detail = "product nodes: " + std::to_string(explorer.num_nodes()) +
                   ", pairs: " + std::to_string(verdict.pairs_visited);
-      adopt_verdict(ob, verdict);
-      if (!verdict.holds) ob.detail += "\n" + short_trace(vars, verdict.counterexample);
+      adopt_verdict(ob, vars, verdict);
     }
     report.add(std::move(ob));
     }  // budget-skip else
@@ -400,13 +408,8 @@ ProofReport verify_composition(const VarTable& vars, const std::vector<AGSpec>& 
       parts.push_back({make_pin(vars, pin_tuple, "PinUnconstrained"), /*mover=*/false});
     }
     try {
-      ExploreOptions explore_opts;
-      explore_opts.threads = opts.threads;
-      explore_opts.max_states = opts.max_states;
-      explore_opts.budget = opts.budget;
-      explore_opts.spill_at = opts.spill_at;
-      StateGraph low =
-          build_composite_graph(vars, parts, opts.free_tuples, pin_tuple, explore_opts);
+      StateGraph low = build_composite_graph(vars, parts, opts.free_tuples, pin_tuple,
+                                             explore_options(opts));
       if (low.stop_reason() != run::StopReason::kCompleted) {
         // Refinement (incl. its liveness side) is only meaningful on the
         // complete low graph; a truncated one can neither discharge nor
@@ -558,13 +561,8 @@ std::vector<Obligation> discharge_h2a_via_prop3(const VarTable& vars,
       std::vector<std::vector<VarId>> free_tuples = opts.free_tuples;
       if (!env_free.empty()) free_tuples.push_back(env_free);
 
-      ExploreOptions explore_opts;
-      explore_opts.threads = opts.threads;
-      explore_opts.max_states = opts.max_states;
-      explore_opts.budget = opts.budget;
-      explore_opts.spill_at = opts.spill_at;
       StateGraph r_graph =
-          build_composite_graph(vars, parts, free_tuples, pin_tuple, explore_opts);
+          build_composite_graph(vars, parts, free_tuples, pin_tuple, explore_options(opts));
       if (r_graph.stop_reason() != run::StopReason::kCompleted) {
         ob.discharged = false;
         ob.inconclusive = true;
@@ -574,11 +572,11 @@ std::vector<Obligation> discharge_h2a_via_prop3(const VarTable& vars,
       } else {
         PrefixMachine e_machine(vars, goal.assumption);
         PrefixMachine m_machine(vars, goal_p1.closure);
-        OrthogonalityResult orth = check_orthogonality(r_graph, e_machine, m_machine);
-        ob.discharged = orth.holds;
+        OrthogonalityResult orth =
+            check_orthogonality(r_graph, e_machine, m_machine, opts.budget);
         ob.detail = "R states: " + std::to_string(r_graph.num_states()) +
                     ", pairs: " + std::to_string(orth.pairs_visited);
-        if (!orth.holds) ob.detail += "\n" + short_trace(vars, orth.counterexample);
+        adopt_verdict(ob, vars, orth);
       }
     }
     out.push_back(std::move(ob));
@@ -615,15 +613,14 @@ std::vector<Obligation> discharge_h2a_via_prop3(const VarTable& vars,
       }
       std::vector<Expr> init_conjuncts = {goal.assumption.init};
       for (const AGSpec& c : components) init_conjuncts.push_back(c.guarantee.init);
-      ConstraintExplorer explorer(vars, constraints, std::move(movers),
+      ConstraintExplorer explorer(vars, constraints, movers,
                                   ex::land(std::move(init_conjuncts)), normalize,
-                                  opts.max_nodes, opts.budget);
+                                  explore_options(opts));
       PrefixMachine target(vars, goal_p1.closure);
       ConstraintExplorer::Verdict verdict = explorer.check_target(target);
       ob.detail = "product nodes: " + std::to_string(explorer.num_nodes()) +
                   ", pairs: " + std::to_string(verdict.pairs_visited);
-      adopt_verdict(ob, verdict);
-      if (!verdict.holds) ob.detail += "\n" + short_trace(vars, verdict.counterexample);
+      adopt_verdict(ob, vars, verdict);
     }
     out.push_back(std::move(ob));
     if (!out.back()) return out;

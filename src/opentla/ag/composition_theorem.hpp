@@ -62,7 +62,8 @@ struct CompositionOptions {
   /// exhaustive.
   std::vector<std::vector<VarId>> component_outputs;
   std::vector<VarId> env_outputs;
-  std::size_t max_nodes = 1'000'000;
+  /// Cap on the states of every exploration: the product graphs of H1,
+  /// H2a and Proposition 3's 2.2, and the composite graphs of H2b and 2.1.
   std::size_t max_states = 2'000'000;
   /// Optional run budget (deadline / RSS / signal stop), polled by every
   /// exploration the verifier runs. On a breach the remaining obligations

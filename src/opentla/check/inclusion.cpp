@@ -1,9 +1,6 @@
 #include "opentla/check/inclusion.hpp"
 
 #include <algorithm>
-#include <deque>
-#include <stdexcept>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "opentla/obs/obs.hpp"
@@ -34,240 +31,86 @@ Mover mover_from_spec(const VarTable& vars, const CanonicalSpec& spec, int const
   return m;
 }
 
-namespace {
-struct NodeKey {
-  StateId state;
-  Value configs;
-  bool operator==(const NodeKey& other) const {
-    return state == other.state && configs == other.configs;
-  }
-};
-struct NodeKeyHash {
-  std::size_t operator()(const NodeKey& k) const {
-    return k.configs.hash() * 1099511628211ULL + k.state;
-  }
-};
-}  // namespace
-
 ConstraintExplorer::ConstraintExplorer(
-    const VarTable& vars, std::vector<std::shared_ptr<const SafetyMachine>> constraints,
-    std::vector<Mover> movers, Expr init_enum, std::vector<VarId> normalize,
-    std::size_t max_nodes, run::RunBudget* budget)
-    : vars_(&vars),
-      constraints_(std::move(constraints)),
-      movers_(std::move(movers)),
-      normalize_(std::move(normalize)),
-      budget_(budget) {
+    const VarTable& vars, const std::vector<std::shared_ptr<const SafetyMachine>>& constraints,
+    const std::vector<Mover>& movers, const Expr& init_enum, const std::vector<VarId>& normalize,
+    const ExploreOptions& opts)
+    : budget_(opts.budget) {
   OPENTLA_OBS_SPAN("ConstraintExplorer.explore");
-  auto normalized = [&](State s) {
-    for (VarId v : normalize_) s[v] = vars.domain(v).first();
-    return s;
-  };
-  auto step_configs = [&](const Value& configs, const State& s, const State& t,
-                          Value& out) {
-    const Value::Tuple& parts = configs.as_tuple();
-    Value::Tuple next;
-    next.reserve(parts.size());
-    for (std::size_t i = 0; i < constraints_.size(); ++i) {
-      Value c = constraints_[i]->step(parts[i], s, t);
-      if (!constraints_[i]->alive(c)) return false;
-      next.push_back(std::move(c));
-    }
-    out = Value::tuple(std::move(next));
-    return true;
+  const std::size_t width = vars.size();
+  auto normalize_in = [&](std::vector<Value>& values) {
+    for (VarId v : normalize) values[v] = vars.domain(v).first();
   };
 
-  std::unordered_map<NodeKey, std::uint32_t, NodeKeyHash> index;
-  std::deque<std::uint32_t> frontier;
-
-  auto add_node = [&](const State& visible, Value configs,
-                      std::uint32_t parent) -> std::optional<std::uint32_t> {
-    const StateId sid = visible_.intern(visible);
-    NodeKey key{sid, configs};
-    auto it = index.find(key);
-    if (it != index.end()) return it->second;
-    if (nodes_.size() >= (std::uint32_t)-2) {
-      throw std::runtime_error("ConstraintExplorer: too many product nodes");
-    }
-    // Node budget reached: refuse the new node gracefully and latch the
-    // stop reason — the product built so far is a sound partial result.
-    if (nodes_.size() >= max_nodes) {
-      stop_reason_ = run::StopReason::kStateBudget;
-      return std::nullopt;
-    }
-    const std::uint32_t id = static_cast<std::uint32_t>(nodes_.size());
-    OPENTLA_OBS_COUNT(ProductNodes);
-    nodes_.push_back({sid, std::move(key.configs), parent});
-    adjacency_.emplace_back();
-    index.emplace(NodeKey{sid, nodes_.back().configs}, id);
-    frontier.push_back(id);
-    return id;
-  };
-
-  // --- Initial nodes ---
-  {
-    std::unordered_set<State, StateHash> seen;
-    for (const State& raw :
-         ActionSuccessors::states_satisfying(vars, init_enum, normalize_)) {
-      State s = normalized(raw);
-      if (!seen.insert(s).second) continue;
-      Value::Tuple configs;
-      bool alive = true;
-      for (const auto& c : constraints_) {
-        Value cfg = c->initial(s);
-        if (!c->alive(cfg)) {
-          alive = false;
-          break;
-        }
-        configs.push_back(std::move(cfg));
+  std::vector<State> init_records;
+  for (const State& raw : ActionSuccessors::states_satisfying(vars, init_enum, normalize)) {
+    std::vector<Value> record = raw.values();
+    normalize_in(record);
+    const State s(record);
+    bool alive = true;
+    for (const auto& c : constraints) {
+      Value config = c->initial(s);
+      if (!c->alive(config)) {
+        alive = false;
+        break;
       }
-      if (!alive) continue;
-      auto id = add_node(s, Value::tuple(std::move(configs)), UINT32_MAX);
-      if (id) init_nodes_.push_back(*id);
+      record.push_back(std::move(config));
     }
+    if (alive) init_records.emplace_back(std::move(record));
   }
 
-  // --- Exploration ---
-  while (!frontier.empty()) {
-    if (stop_reason_ != run::StopReason::kCompleted) break;
-    if (budget_ != nullptr && budget_->should_stop()) {
-      stop_reason_ = budget_->reason();
-      break;
-    }
-    const std::uint32_t uid = frontier.front();
-    frontier.pop_front();
-    const State s = visible_.get(nodes_[uid].state);  // copy: store may grow
-    const Value configs = nodes_[uid].configs;
-    const Value::Tuple& config_parts = configs.as_tuple();
-
-    // Candidate successors: the movers' actions (with hidden sources drawn
-    // from the owning machine's configuration) plus the stutter step, which
-    // can only grow configurations (internal component moves).
+  // The successors of a record: every distinct candidate t of the movers
+  // (with hidden sources drawn from the owning machine's configuration)
+  // and the stutter step, which can only grow configurations (internal
+  // component moves), with the configuration tuple stepped along s -> t.
+  auto successors = [&](const State& record, const std::function<void(const State&)>& emit) {
+    const State s(std::vector<Value>(record.values().begin(),
+                                     record.values().begin() + static_cast<std::ptrdiff_t>(width)));
     std::unordered_set<State, StateHash> candidates;
-    candidates.insert(s);
-    for (const Mover& m : movers_) {
+    auto consider = [&](const State& raw) {
+      std::vector<Value> next = raw.values();
+      normalize_in(next);
+      auto [it, fresh] = candidates.emplace(next);
+      if (!fresh) return;
+      OPENTLA_OBS_COUNT(ProductSteps);
+      for (std::size_t i = 0; i < constraints.size(); ++i) {
+        Value config = constraints[i]->step(record[static_cast<VarId>(width + i)], s, *it);
+        if (!constraints[i]->alive(config)) return;
+        next.push_back(std::move(config));
+      }
+      State t(std::move(next));
+      if (t == record) return;  // no-op stutter
+      emit(t);
+    };
+    consider(s);
+    for (const Mover& m : movers) {
       if (m.machine_index < 0) {
-        m.generator->for_each_successor(
-            s, [&](const State& t) { candidates.insert(normalized(t)); });
-      } else {
-        const Value sources =
-            constraints_[m.machine_index]->mover_configs(config_parts[m.machine_index]);
-        for (const Value& h : sources.as_tuple()) {
-          State source = s;
-          const Value::Tuple& hv = h.as_tuple();
-          for (std::size_t i = 0; i < m.hidden.size(); ++i) source[m.hidden[i]] = hv[i];
-          m.generator->for_each_successor(
-              source, [&](const State& t) { candidates.insert(normalized(t)); });
-        }
+        m.generator->for_each_emission(s, consider);
+        continue;
+      }
+      const Value sources = constraints[m.machine_index]->mover_configs(
+          record[static_cast<VarId>(width + m.machine_index)]);
+      for (const Value& h : sources.as_tuple()) {
+        State source = s;
+        const Value::Tuple& hv = h.as_tuple();
+        for (std::size_t i = 0; i < m.hidden.size(); ++i) source[m.hidden[i]] = hv[i];
+        m.generator->for_each_emission(source, consider);
       }
     }
+  };
 
-    for (const State& t : candidates) {
-      Value next_configs;
-      if (!step_configs(configs, s, t, next_configs)) continue;
-      if (t == s && next_configs == configs) continue;  // no-op stutter
-      auto vid = add_node(t, std::move(next_configs), uid);
-      if (vid) {
-        adjacency_[uid].push_back(*vid);
-        ++num_edges_;
-      }
-    }
-  }
-  OPENTLA_OBS_GAUGE_MAX(PeakProductNodes, nodes_.size());
-  if (stop_reason_ != run::StopReason::kCompleted && budget_ != nullptr) {
-    budget_->request_stop(stop_reason_);
-  }
-}
-
-std::vector<State> ConstraintExplorer::trace_to(std::uint32_t node) const {
-  std::vector<State> out;
-  for (std::uint32_t n = node; n != UINT32_MAX; n = nodes_[n].parent) {
-    out.push_back(visible_.get(nodes_[n].state));
-  }
-  std::reverse(out.begin(), out.end());
-  return out;
+  ExploreOptions product_opts = opts;
+  product_opts.threads = 1;
+  product_opts.add_self_loops = false;
+  graph_.emplace(vars, init_records, successors, product_opts);
+  OPENTLA_OBS_COUNT_N(ProductNodes, graph_->num_states());
+  OPENTLA_OBS_GAUGE_MAX(PeakProductNodes, graph_->num_states());
 }
 
 ConstraintExplorer::Verdict ConstraintExplorer::check_target(const SafetyMachine& target) const {
   OPENTLA_OBS_SPAN("ConstraintExplorer.check_target");
   OPENTLA_OBS_PHASE("check.inclusion");
-  Verdict verdict;
-  verdict.target_name = target.name();
-  // A partial product makes every "holds" verdict on it partial too.
-  verdict.stop_reason = stop_reason_;
-
-  struct PairKey {
-    std::uint32_t node;
-    Value config;
-    bool operator==(const PairKey& o) const { return node == o.node && config == o.config; }
-  };
-  struct PairKeyHash {
-    std::size_t operator()(const PairKey& k) const {
-      return k.config.hash() * 1099511628211ULL + k.node;
-    }
-  };
-
-  std::unordered_set<PairKey, PairKeyHash> visited;
-  // (product node, target config, node whose trace witnesses the path)
-  std::deque<PairKey> frontier;
-
-  for (std::uint32_t n : init_nodes_) {
-    const State& s = visible_.get(nodes_[n].state);
-    Value cfg = target.initial(s);
-    if (!target.alive(cfg)) {
-      verdict.holds = false;
-      verdict.counterexample = trace_to(n);
-      verdict.pairs_visited = visited.size();
-      return verdict;
-    }
-    PairKey key{n, std::move(cfg)};
-    if (visited.insert(key).second) {
-      OPENTLA_OBS_COUNT(InclusionPairs);
-      frontier.push_back(std::move(key));
-    }
-  }
-
-  // Parent tracking for counterexample reconstruction.
-  std::unordered_map<PairKey, PairKey, PairKeyHash> parent;
-
-  while (!frontier.empty()) {
-    if (budget_ != nullptr && budget_->should_stop()) {
-      verdict.stop_reason = budget_->reason();
-      break;
-    }
-    PairKey u = std::move(frontier.front());
-    frontier.pop_front();
-    const State& s = visible_.get(nodes_[u.node].state);
-    for (std::uint32_t vnode : adjacency_[u.node]) {
-      const State& t = visible_.get(nodes_[vnode].state);
-      Value cfg = target.step(u.config, s, t);
-      const bool dead = !target.alive(cfg);
-      PairKey v{vnode, std::move(cfg)};
-      if (!dead && !visited.insert(v).second) continue;
-      OPENTLA_OBS_COUNT(InclusionPairs);
-      parent.emplace(v, u);
-      if (dead) {
-        // Reconstruct the visible trace through the pair parents.
-        std::vector<State> trace;
-        PairKey cur = v;
-        while (true) {
-          trace.push_back(visible_.get(nodes_[cur.node].state));
-          auto it = parent.find(cur);
-          if (it == parent.end()) break;
-          cur = it->second;
-        }
-        std::reverse(trace.begin(), trace.end());
-        verdict.holds = false;
-        verdict.counterexample = std::move(trace);
-        verdict.pairs_visited = visited.size();
-        return verdict;
-      }
-      frontier.push_back(std::move(v));
-    }
-  }
-  verdict.holds = true;
-  verdict.pairs_visited = visited.size();
-  return verdict;
+  return find_dead_pair(*graph_, target, budget_);
 }
 
 }  // namespace opentla

@@ -19,7 +19,9 @@
 // an action step of that component, so the union is complete as long as
 // every visible variable belongs to some mover's subscript.
 //
-// R holds iff its machine stays alive along every reachable product path.
+// The product is a StateGraph built by the one serial BFS, and R holds iff
+// its machine stays alive along every reachable product path: the pair
+// search of check/pair_search.
 
 #pragma once
 
@@ -29,8 +31,8 @@
 #include <vector>
 
 #include "opentla/automata/prefix_machine.hpp"
+#include "opentla/check/pair_search.hpp"
 #include "opentla/graph/successor.hpp"
-#include "opentla/run/budget.hpp"
 #include "opentla/state/state.hpp"
 #include "opentla/tla/spec.hpp"
 
@@ -60,65 +62,50 @@ Mover mover_from_spec(const VarTable& vars, const CanonicalSpec& spec, int const
                       const std::vector<VarId>& normalized,
                       const std::vector<Expr>& steps = {});
 
-/// Explores the product of the left-hand-side machines once; targets are
-/// then checked against the reified product graph.
+/// Explores the product of the left-hand-side machines once, as a
+/// StateGraph; targets are then checked against that graph.
+///
+/// A product node is one record in the graph's fingerprint store: the
+/// universe values (hidden entries normalized), then one configuration per
+/// constraint machine. The successors of a record are the movers'
+/// candidates plus the stutter step, each with the configuration tuple
+/// stepped; a candidate that kills some constraint machine is dropped, and
+/// so is the stutter step that changes no configuration. Records are cut
+/// back to the universe width before a mover, machine or trace sees them.
 class ConstraintExplorer {
  public:
   /// `init_enum` enumerates candidate initial states of the universe
   /// (typically the conjunction of all components' Init predicates, with
   /// hidden variables included; their values are normalized away and
-  /// re-derived by the machines).
-  /// Reaching `max_nodes`, or a breach of `budget` (optional, not owned),
-  /// stops the product exploration gracefully; stop_reason() reports why
-  /// and check_target verdicts on the partial product are marked partial.
+  /// re-derived by the machines). The product is built by the serial
+  /// StateGraph BFS without self-loops (opts.threads and
+  /// opts.add_self_loops are ignored). Reaching opts.max_states, or a
+  /// breach of opts.budget, stops it gracefully: stop_reason() reports why
+  /// and check_target verdicts on the partial product are partial. `vars`
+  /// must outlive the explorer (its product graph reads it).
   ConstraintExplorer(const VarTable& vars,
-                     std::vector<std::shared_ptr<const SafetyMachine>> constraints,
-                     std::vector<Mover> movers, Expr init_enum, std::vector<VarId> normalize,
-                     std::size_t max_nodes = 1'000'000, run::RunBudget* budget = nullptr);
+                     const std::vector<std::shared_ptr<const SafetyMachine>>& constraints,
+                     const std::vector<Mover>& movers, const Expr& init_enum,
+                     const std::vector<VarId>& normalize, const ExploreOptions& opts = {});
 
-  std::size_t num_nodes() const { return nodes_.size(); }
-  std::size_t num_edges() const { return num_edges_; }
-  const VarTable& vars() const { return *vars_; }
+  std::size_t num_nodes() const { return graph_->num_states(); }
+  std::size_t num_edges() const { return graph_->num_edges(); }
   /// Why product exploration ended (kCompleted = full product built).
-  run::StopReason stop_reason() const { return stop_reason_; }
+  run::StopReason stop_reason() const { return graph_->stop_reason(); }
+  /// The product graph over `vars`: each record holds vars.size()
+  /// universe values followed by one configuration per constraint machine.
+  const StateGraph& graph() const { return *graph_; }
 
-  /// Checks |= LHS => target. On failure the verdict carries a finite trace
-  /// of visible states after which the target's prefix machine is dead.
-  struct Verdict {
-    std::string target_name;
-    bool holds = false;
-    std::vector<State> counterexample;
-    std::size_t pairs_visited = 0;
-    /// kCompleted = definitive. Otherwise the product or the pair BFS was
-    /// cut short by a budget: a counterexample is still a real refutation
-    /// (the partial product only contains reachable nodes), but `holds`
-    /// merely means "no violation found within the budget".
-    run::StopReason stop_reason = run::StopReason::kCompleted;
-
-    explicit operator bool() const { return holds; }
-  };
+  /// Checks |= LHS => target. On failure the verdict carries a shortest
+  /// finite trace of visible states after which the target's machine is
+  /// dead. A partial product makes the verdict partial (see
+  /// PairSearchResult).
+  using Verdict = PairSearchResult;
   Verdict check_target(const SafetyMachine& target) const;
 
  private:
-  struct Node {
-    StateId state;
-    Value configs;
-    std::uint32_t parent;  // UINT32_MAX for initial nodes
-  };
-
-  std::vector<State> trace_to(std::uint32_t node) const;
-
-  const VarTable* vars_;
-  std::vector<std::shared_ptr<const SafetyMachine>> constraints_;
-  std::vector<Mover> movers_;
-  std::vector<VarId> normalize_;
-  StateStore visible_;
-  std::vector<Node> nodes_;
-  std::vector<std::vector<std::uint32_t>> adjacency_;
-  std::vector<std::uint32_t> init_nodes_;
-  std::size_t num_edges_ = 0;
-  run::RunBudget* budget_ = nullptr;
-  run::StopReason stop_reason_ = run::StopReason::kCompleted;
+  run::RunBudget* budget_;
+  std::optional<StateGraph> graph_;
 };
 
 }  // namespace opentla

@@ -1,83 +1,46 @@
 #include "opentla/check/orthogonality.hpp"
 
-#include <algorithm>
-#include <deque>
-#include <unordered_map>
-
 namespace opentla {
 
 namespace {
-struct Key {
-  StateId state;
-  Value ce;
-  Value cm;
-  bool operator==(const Key& o) const {
-    return state == o.state && ce == o.ce && cm == o.cm;
+
+/// The machine of E _|_ M: configuration <<c_E, c_M>>, dead (the empty
+/// tuple) once one step has falsified both.
+class OrthogonalityMachine final : public SafetyMachine {
+ public:
+  OrthogonalityMachine(const SafetyMachine& e, const SafetyMachine& m) : e_(e), m_(m) {}
+
+  Value initial(const State& s) const override {
+    // The n = 0 instance of the definition: both properties hold for the
+    // empty prefix (vacuously), so both failing on the first state breaks
+    // orthogonality.
+    return pair(e_.initial(s), m_.initial(s), /*both_were_alive=*/true);
   }
-};
-struct KeyHash {
-  std::size_t operator()(const Key& k) const {
-    return (k.ce.hash() * 31 + k.cm.hash()) * 1099511628211ULL + k.state;
+  Value step(const Value& config, const State& s, const State& t) const override {
+    if (!alive(config)) return config;
+    const Value& ce = config.as_tuple()[0];
+    const Value& cm = config.as_tuple()[1];
+    return pair(e_.step(ce, s, t), m_.step(cm, s, t), e_.alive(ce) && m_.alive(cm));
   }
+  bool alive(const Value& config) const override { return config.length() != 0; }
+  std::string name() const override { return e_.name() + " _|_ " + m_.name(); }
+
+ private:
+  Value pair(Value ce, Value cm, bool both_were_alive) const {
+    if (both_were_alive && !e_.alive(ce) && !m_.alive(cm)) return dead_config();
+    return Value::tuple({std::move(ce), std::move(cm)});
+  }
+
+  const SafetyMachine& e_;
+  const SafetyMachine& m_;
 };
+
 }  // namespace
 
 OrthogonalityResult check_orthogonality(const StateGraph& generator, const SafetyMachine& e,
-                                        const SafetyMachine& m) {
-  OrthogonalityResult result;
-  std::unordered_map<Key, Key, KeyHash> parent;
-  std::deque<Key> frontier;
-  const Key no_parent{StateStore::kNone, Value(), Value()};
-
-  auto trace = [&](const Key& last) {
-    std::vector<State> out;
-    Key cur = last;
-    while (cur.state != StateStore::kNone) {
-      out.push_back(generator.state(cur.state));
-      auto it = parent.find(cur);
-      if (it == parent.end()) break;
-      cur = it->second;
-    }
-    std::reverse(out.begin(), out.end());
-    return out;
-  };
-
-  for (StateId s : generator.initial()) {
-    Key k{s, e.initial(generator.state(s)), m.initial(generator.state(s))};
-    // The n = 0 instance of the definition: both properties hold for the
-    // empty prefix (vacuously) and fail for the first state.
-    if (!e.alive(k.ce) && !m.alive(k.cm)) {
-      result.holds = false;
-      result.counterexample = {generator.state(s)};
-      result.pairs_visited = parent.size();
-      return result;
-    }
-    if (parent.emplace(k, no_parent).second) frontier.push_back(std::move(k));
-  }
-
-  while (!frontier.empty()) {
-    Key u = std::move(frontier.front());
-    frontier.pop_front();
-    const State& s = generator.state(u.state);
-    const bool e_alive = e.alive(u.ce);
-    const bool m_alive = m.alive(u.cm);
-    for (StateId vid : generator.successors(u.state)) {
-      const State& t = generator.state(vid);
-      Key v{vid, e.step(u.ce, s, t), m.step(u.cm, s, t)};
-      if (e_alive && m_alive && !e.alive(v.ce) && !m.alive(v.cm)) {
-        std::vector<State> prefix = trace(u);
-        prefix.push_back(t);
-        result.holds = false;
-        result.counterexample = std::move(prefix);
-        result.pairs_visited = parent.size();
-        return result;
-      }
-      if (parent.emplace(v, u).second) frontier.push_back(std::move(v));
-    }
-  }
-  result.holds = true;
-  result.pairs_visited = parent.size();
-  return result;
+                                        const SafetyMachine& m, run::RunBudget* budget) {
+  const OrthogonalityMachine machine(e, m);
+  return find_dead_pair(generator, machine, budget);
 }
 
 }  // namespace opentla

@@ -7,32 +7,31 @@
 // interleaving (Disjoint) guarantees it (Proposition 4).
 //
 // The checker decides |= R => (E _|_ M) where the behaviors of R are given
-// by an explored StateGraph and E, M by safety machines: it walks the
-// product of the graph with both machines and looks for a reachable step
-// killing both at once.
+// by an explored StateGraph and E, M by safety machines. E _|_ M is itself
+// a safety property: its machine runs E's and M's side by side and dies on
+// the first step that kills both at once. The check is the pair search of
+// check/pair_search over the graph and that machine.
 
 #pragma once
 
-#include <string>
-#include <vector>
-
 #include "opentla/automata/prefix_machine.hpp"
+#include "opentla/check/pair_search.hpp"
 #include "opentla/graph/state_graph.hpp"
+#include "opentla/run/budget.hpp"
 
 namespace opentla {
 
-struct OrthogonalityResult {
-  bool holds = false;
-  /// On failure: states of a finite R-behavior whose last step falsifies
-  /// both E and M simultaneously.
-  std::vector<State> counterexample;
-  std::size_t pairs_visited = 0;
+/// On failure, `counterexample` holds the states of a shortest finite
+/// R-behavior whose last step falsifies both E and M (or, for a one-state
+/// trace, whose first state already does).
+using OrthogonalityResult = PairSearchResult;
 
-  explicit operator bool() const { return holds; }
-};
-
-/// Checks |= (behaviors of `generator`) => (E _|_ M).
+/// Checks |= (behaviors of `generator`) => (E _|_ M). `budget` (optional,
+/// not owned) is polled once per pair expansion; a breach, like a partial
+/// generator, makes the result partial: stop_reason says why and `holds`
+/// stays false.
 OrthogonalityResult check_orthogonality(const StateGraph& generator, const SafetyMachine& e,
-                                        const SafetyMachine& m);
+                                        const SafetyMachine& m,
+                                        run::RunBudget* budget = nullptr);
 
 }  // namespace opentla

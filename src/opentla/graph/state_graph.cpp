@@ -13,12 +13,6 @@
 namespace opentla {
 
 StateGraph::StateGraph(const VarTable& vars, const std::vector<State>& init_states,
-                       const SuccessorFn& succ, bool add_self_loops, std::size_t max_states)
-    : vars_(&vars) {
-  explore_serial(init_states, succ, add_self_loops, max_states, nullptr);
-}
-
-StateGraph::StateGraph(const VarTable& vars, const std::vector<State>& init_states,
                        const SuccessorFn& succ, const ExploreOptions& opts)
     : vars_(&vars) {
   unsigned threads = opts.threads;

@@ -12,6 +12,12 @@
 // to the serial BFS regardless of thread count; downstream SCC, fair-cycle,
 // and trace code never observes which engine ran.
 //
+// A record in the store is a state of vars(), optionally followed by
+// trailing values the exploration carries along: an A/G product graph
+// (check/inclusion) appends one safety-machine configuration per
+// constraint machine. The successor function sees whole records; state()
+// decodes only the state of vars().
+//
 // Adjacency is compressed sparse row (CSR): node s's successors are
 // targets[offsets[s] .. offsets[s+1]), sorted and duplicate-free, and an
 // index into `targets` is the edge's dense id. Per-edge data (fairness
@@ -80,16 +86,12 @@ class StateGraph {
  public:
   using SuccessorFn = std::function<void(const State&, const std::function<void(const State&)>&)>;
 
-  /// Explores from `init_states` using `succ`; `add_self_loops` materializes
-  /// the stuttering step on every node. Reaching `max_states` stops
-  /// exploration gracefully (see stop_reason()).
+  /// Explores from `init_states` using `succ`, configured by `opts`
+  /// (serial or parallel, self-loops, state cap, budget). The resulting
+  /// graph is identical for every opts.threads value. Reaching
+  /// opts.max_states stops exploration gracefully (see stop_reason()).
   StateGraph(const VarTable& vars, const std::vector<State>& init_states, const SuccessorFn& succ,
-             bool add_self_loops = true, std::size_t max_states = 2'000'000);
-
-  /// Same exploration, configured by `opts` (serial or parallel). The
-  /// resulting graph is identical for every opts.threads value.
-  StateGraph(const VarTable& vars, const std::vector<State>& init_states, const SuccessorFn& succ,
-             const ExploreOptions& opts);
+             const ExploreOptions& opts = {});
 
   const VarTable& vars() const { return *vars_; }
   const StateStore& store() const { return store_; }
@@ -108,9 +110,10 @@ class StateGraph {
   /// The reverse graph: reverse().neighbors(t) lists t's predecessors,
   /// ascending. O(states + edges) to build; callers keep the result.
   CsrAdjacency reverse() const;
-  /// The interned state, decoded from the store's arena record (by value:
-  /// the canonical bytes may live in a spilled segment — see StateStore::get).
-  State state(StateId s) const { return store_.get(s); }
+  /// The interned state of vars(), decoded from the store's arena record
+  /// (by value: the canonical bytes may live in a spilled segment — see
+  /// StateStore::get). A record's trailing slots are not decoded.
+  State state(StateId s) const { return store_.get(s, vars_->size()); }
 
   /// Why exploration ended. kCompleted means the full reachable space is
   /// here; anything else marks a graceful partial graph (state budget,

@@ -43,9 +43,11 @@ enum class Counter : std::size_t {
   ConfigsExpanded,         // hidden-variable assignments stepped by PrefixMachine
   SccPasses,               // Tarjan decompositions run
   LassoCandidates,         // SCCs examined as fair-cycle candidates
-  InclusionPairs,          // (product node, target config) pairs visited
-  ProductNodes,            // nodes interned by ConstraintExplorer
-  ProductSteps,            // ProductMachine::step calls
+  InclusionPairs,          // (graph state, machine config) pairs visited by the
+                           // pair search (inclusion targets and orthogonality)
+  ProductNodes,            // nodes of ConstraintExplorer product graphs
+  ProductSteps,            // ConstraintExplorer config-tuple steps (one per
+                           // distinct candidate of an expansion)
   FreezeSteps,             // FreezeMachine::step calls
   RefinementEdgesChecked,  // low edges checked against [HighNext]_v
   OracleEvaluations,       // lasso-oracle formula node evaluations
@@ -71,7 +73,7 @@ enum class Counter : std::size_t {
 enum class Gauge : std::size_t {
   PeakConfigurationCount,  // largest prefix-machine configuration seen
   PeakGraphStates,         // largest single StateGraph built
-  PeakProductNodes,        // largest ConstraintExplorer node set built
+  PeakProductNodes,        // largest ConstraintExplorer product graph built
   PeakParWorkers,          // widest worker pool used by parallel exploration
   PeakRssBytes,            // resident-set high-water (fed by progress samples)
   kCount

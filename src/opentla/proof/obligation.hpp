@@ -10,6 +10,8 @@
 #include <string>
 #include <vector>
 
+#include "opentla/state/state.hpp"
+
 namespace opentla {
 
 struct Obligation {
@@ -18,6 +20,9 @@ struct Obligation {
   bool discharged = false;
   std::string method;  // "product-inclusion", "refinement-mapping", "prop1-syntactic", ...
   std::string detail;  // stats, or a rendered counterexample on failure
+  /// On refutation by a trace: the whole trace (`detail` renders at most
+  /// its first states).
+  std::vector<State> counterexample;
   /// Not discharged, but not refuted either: the run budget stopped the
   /// check before it finished (or before it started). Distinguishes "the
   /// theorem failed" from "the run ran out" — the CLI maps the former to

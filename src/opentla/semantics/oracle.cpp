@@ -133,8 +133,10 @@ bool Oracle::eval_spec(const CanonicalSpec& spec, const LassoBehavior& sigma, st
     });
   };
 
-  StateGraph product(ext, inits, succ, /*add_self_loops=*/false,
-                     /*max_states=*/1 << 22);
+  ExploreOptions opts;
+  opts.add_self_loops = false;
+  opts.max_states = 1 << 22;
+  StateGraph product(ext, inits, succ, opts);
   if (product.initial().empty()) return false;
 
   FairnessCompiler compiler(product);

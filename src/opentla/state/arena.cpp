@@ -75,7 +75,9 @@ void StateArena::account() { mem_.set(resident_); }
 void StateArena::open_segment(std::size_t min_bytes) {
   const std::size_t cap = std::max(default_segment_bytes_, min_bytes);
   Segment seg;
-  seg.heap = std::make_unique<std::byte[]>(cap);
+  // Not zero-filled: only the first `used` bytes are ever read or spilled,
+  // so untouched capacity never becomes resident.
+  seg.heap = std::make_unique_for_overwrite<std::byte[]>(cap);
   seg.base = seg.heap.get();
   seg.capacity = cap;
   segments_.push_back(std::move(seg));

@@ -1,5 +1,6 @@
 #include "opentla/state/fingerprint.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -120,13 +121,14 @@ void encode_state(const State& s, std::vector<std::byte>& out) {
   for (const Value& v : s.values()) encode_value(v, out);
 }
 
-State decode_state(const std::byte* data, std::size_t len) {
+State decode_state(const std::byte* data, std::size_t len, std::size_t width) {
   Reader r{data, data + len};
   const std::uint32_t n = r.u32();
+  const std::size_t count = std::min<std::size_t>(n, width);
   std::vector<Value> values;
-  values.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) values.push_back(decode_value(r));
-  if (r.p != r.end) Reader::corrupt();
+  values.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) values.push_back(decode_value(r));
+  if (count == n && r.p != r.end) Reader::corrupt();
   return State(std::move(values));
 }
 

@@ -38,8 +38,10 @@ void encode_state(const State& s, std::vector<std::byte>& out);
 
 /// Decodes a state previously produced by encode_state. Throws
 /// std::runtime_error on malformed input (truncated or trailing bytes) —
-/// that would mean arena corruption, not a spec error.
-State decode_state(const std::byte* data, std::size_t len);
+/// that would mean arena corruption, not a spec error. With `width` below
+/// the encoded value count, only the first `width` values are decoded and
+/// the rest of the record is left unread.
+State decode_state(const std::byte* data, std::size_t len, std::size_t width = SIZE_MAX);
 
 /// FNV-1a64 over a byte string (offset 14695981039346656037, prime
 /// 1099511628211). Platform-independent by construction.

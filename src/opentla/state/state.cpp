@@ -141,9 +141,9 @@ StateId StateStore::find(const State& s) const {
   return kNone;
 }
 
-State StateStore::get(StateId id) const {
+State StateStore::get(StateId id, std::size_t width) const {
   const auto [bytes, len] = arena_->read(refs_.at(id));
-  return decode_state(bytes, len);
+  return decode_state(bytes, len, width);
 }
 
 std::pair<const std::byte*, std::size_t> StateStore::encoded(StateId id) const {

@@ -86,8 +86,9 @@ class StateStore {
   StateId intern(const State& s);
   /// The interned state, decoded from its arena record. By value: the
   /// canonical bytes may live in an mmap-backed spill segment, so there
-  /// is no resident State object to reference.
-  State get(StateId id) const;
+  /// is no resident State object to reference. With `width`, only the
+  /// record's first `width` values are decoded.
+  State get(StateId id, std::size_t width = SIZE_MAX) const;
   std::size_t size() const { return refs_.size(); }
   /// Id of `s` if already interned, otherwise nullopt-like UINT32_MAX.
   static constexpr StateId kNone = UINT32_MAX;

@@ -240,14 +240,38 @@ std::uint64_t Domain::deep_bytes() const {
 }
 
 std::string Domain::to_string() const {
-  const std::vector<Value>& vals = values();
+  const Node& n = node();
   std::ostringstream os;
-  os << '{';
-  for (std::size_t i = 0; i < vals.size(); ++i) {
-    if (i != 0) os << ", ";
-    os << vals[i];
+  switch (n.shape) {
+    case Shape::Explicit:
+      os << '{';
+      for (std::size_t i = 0; i < n.values.size(); ++i) {
+        if (i != 0) os << ", ";
+        os << n.values[i];
+      }
+      os << '}';
+      break;
+    case Shape::Range:
+      os << n.lo << ".." << n.hi;
+      break;
+    case Shape::Bool:
+      os << "BOOLEAN";
+      break;
+    case Shape::Seq:
+      os << "Seq(" << n.parts[0].to_string() << ", " << n.max_len << ')';
+      break;
+    case Shape::Tuple:
+      if (n.parts.size() == 1) {
+        os << "{<<e>> : e \\in " << n.parts[0].to_string() << '}';
+        break;
+      }
+      for (std::size_t i = 0; i < n.parts.size(); ++i) {
+        if (i != 0) os << " \\X ";
+        const bool nested = n.parts[i].shape() == Shape::Tuple;
+        os << (nested ? "(" : "") << n.parts[i].to_string() << (nested ? ")" : "");
+      }
+      break;
   }
-  os << '}';
   return os.str();
 }
 

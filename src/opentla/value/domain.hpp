@@ -70,7 +70,11 @@ class Domain {
   /// it has been built. Feeds the obs memory accounting.
   std::uint64_t deep_bytes() const;
 
-  /// Renders the set by listing its values: {v1, v2, ...}.
+  /// Renders the set by its shape, never listing a structural one:
+  /// "0..9", "BOOLEAN", "Seq(0..9, 9)", "0..1 \X BOOLEAN" (a one-component
+  /// product: "{<<e>> : e \in D}"); an explicit list as {v1, v2, ...}.
+  /// The forms the module parser reads (ranges, BOOLEAN, Seq, lists) parse
+  /// back to an equal domain.
   std::string to_string() const;
 
  private:

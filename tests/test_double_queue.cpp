@@ -16,6 +16,7 @@
 #include "opentla/check/refinement.hpp"
 #include "opentla/compose/compose.hpp"
 #include "opentla/queue/double_queue.hpp"
+#include "replay.hpp"
 
 namespace opentla {
 namespace {
@@ -105,6 +106,11 @@ TEST_F(DoubleQueueTest, FormulaThreeWithoutGIsInvalid) {
     }
   }
   EXPECT_TRUE(found_failure_with_trace) << report.to_string();
+  // Each product-inclusion refutation is a real one.
+  std::size_t replayed = 0;
+  EXPECT_TRUE(
+      replay::replays_inclusion_refutations(sys.vars, components, sys.goal(), report, replayed));
+  EXPECT_EQ(replayed, 3u);  // H1[QE1], H1[QE2] and H2a
 }
 
 TEST_F(DoubleQueueTest, RefinementCorollaryWfSplitEquivalence) {

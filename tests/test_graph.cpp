@@ -28,12 +28,14 @@ class CounterGraphTest : public ::testing::Test {
 
   StateGraph build(Expr next, bool self_loops = true) {
     ActionSuccessors gen(vars, std::move(next));
+    ExploreOptions opts;
+    opts.add_self_loops = self_loops;
     return StateGraph(
         vars, {State({Value::integer(0)})},
         [&gen](const State& s, const std::function<void(const State&)>& emit) {
           gen.for_each_successor(s, emit);
         },
-        self_loops);
+        opts);
   }
 
   VarTable vars;
@@ -95,7 +97,9 @@ TEST_F(CounterGraphTest, PartialGraphKeepsEmptyRowsForUnexpandedStates) {
   auto succ = [&gen](const State& s, const std::function<void(const State&)>& emit) {
     gen.for_each_successor(s, emit);
   };
-  StateGraph g(vars, {State({Value::integer(0)})}, succ, true, /*max_states=*/3);
+  ExploreOptions opts;
+  opts.max_states = 3;
+  StateGraph g(vars, {State({Value::integer(0)})}, succ, opts);
   ASSERT_EQ(g.num_states(), 3u);
   EXPECT_EQ(g.stop_reason(), run::StopReason::kStateBudget);
   EXPECT_EQ(g.successors(0).size(), 3u);  // 1, 2 and the self-loop
@@ -143,7 +147,9 @@ TEST_F(CounterGraphTest, StateLimitStopsGracefully) {
   auto succ = [&gen](const State& s, const std::function<void(const State&)>& emit) {
     gen.for_each_successor(s, emit);
   };
-  StateGraph g(vars, {State({Value::integer(0)})}, succ, true, /*max_states=*/2);
+  ExploreOptions opts;
+  opts.max_states = 2;
+  StateGraph g(vars, {State({Value::integer(0)})}, succ, opts);
   EXPECT_EQ(g.num_states(), 2u);
   EXPECT_EQ(g.stop_reason(), run::StopReason::kStateBudget);
 }

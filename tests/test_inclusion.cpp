@@ -7,9 +7,33 @@
 #include "opentla/automata/freeze.hpp"
 #include "opentla/ag/freeze_spec.hpp"
 #include "opentla/check/inclusion.hpp"
+#include "replay.hpp"
 
 namespace opentla {
 namespace {
+
+using Constraints = std::vector<std::shared_ptr<const SafetyMachine>>;
+
+/// A refutation of |= constraints => target found by `explorer`: the trace
+/// replays as one (constraints alive throughout, target dying exactly at
+/// the last state) and is as short as any path to a dead target pair.
+::testing::AssertionResult is_shortest_refutation(const ConstraintExplorer& explorer,
+                                                  const Constraints& constraints,
+                                                  const SafetyMachine& target,
+                                                  const ConstraintExplorer::Verdict& verdict) {
+  if (verdict.holds) return ::testing::AssertionFailure() << "verdict holds";
+  std::vector<const SafetyMachine*> machines;
+  for (const auto& c : constraints) machines.push_back(c.get());
+  ::testing::AssertionResult replay =
+      replay::replays_as_refutation(machines, target, verdict.counterexample);
+  if (!replay) return replay;
+  const std::size_t shortest = replay::shortest_dead_trace(explorer.graph(), target);
+  if (verdict.counterexample.size() != shortest) {
+    return ::testing::AssertionFailure() << "trace of " << verdict.counterexample.size()
+                                         << " states, shortest is " << shortest;
+  }
+  return ::testing::AssertionSuccess();
+}
 
 class InclusionTest : public ::testing::Test {
  protected:
@@ -62,7 +86,7 @@ TEST_F(InclusionTest, FailsForTighterBoundWithTrace) {
   ConstraintExplorer explorer(vars, constraints, movers, sx.init, {y});
   PrefixMachine target(vars, bound(x, 1, "Bound1"));
   ConstraintExplorer::Verdict v = explorer.check_target(target);
-  EXPECT_FALSE(v.holds);
+  EXPECT_TRUE(is_shortest_refutation(explorer, constraints, target, v));
   // The shortest violating trace reaches x = 2 in three states.
   ASSERT_EQ(v.counterexample.size(), 3u);
   EXPECT_EQ(v.counterexample.back()[x].as_int(), 2);
@@ -77,7 +101,7 @@ TEST_F(InclusionTest, MultipleTargetsShareOneExploration) {
   PrefixMachine t1(vars, bound(x, 2, "B2"));
   PrefixMachine t2(vars, bound(x, 0, "B0"));
   EXPECT_TRUE(explorer.check_target(t1).holds);
-  EXPECT_FALSE(explorer.check_target(t2).holds);
+  EXPECT_TRUE(is_shortest_refutation(explorer, constraints, t2, explorer.check_target(t2)));
 }
 
 TEST_F(InclusionTest, HiddenSourceMoversUseMachineConfigs) {
@@ -113,7 +137,9 @@ TEST_F(InclusionTest, HiddenSourceMoversUseMachineConfigs) {
   x_zero.sub = {xv};
   PrefixMachine target(v2, x_zero);
   ConstraintExplorer::Verdict verdict = explorer.check_target(target);
-  EXPECT_FALSE(verdict.holds);
+  EXPECT_TRUE(is_shortest_refutation(explorer, constraints, target, verdict));
+  // x = 0 while h ticks twice (visible stutters), then x = 1.
+  EXPECT_EQ(verdict.counterexample.size(), 4u);
 }
 
 TEST_F(InclusionTest, FreezeMachineConstraintAllowsPostViolationStutter) {
@@ -180,7 +206,11 @@ TEST_F(InclusionTest, FreezeMachineAgreesWithExplicitFreezeSpec) {
       target.next = ex::le(ex::primed_var(xv), ex::integer(bound));
       target.sub = {xv};
       PrefixMachine m(v2, target);
-      out.push_back(explorer.check_target(m).holds);
+      ConstraintExplorer::Verdict verdict = explorer.check_target(m);
+      if (!verdict.holds) {
+        EXPECT_TRUE(is_shortest_refutation(explorer, constraints, m, verdict)) << target.name;
+      }
+      out.push_back(verdict.holds);
     }
     return out;
   };
@@ -195,18 +225,52 @@ TEST_F(InclusionTest, FreezeMachineAgreesWithExplicitFreezeSpec) {
   EXPECT_EQ(semantic, (std::vector<bool>{false, true, true}));
 }
 
-TEST_F(InclusionTest, NodeLimitStopsGracefully) {
+TEST(PairSearch, ExpandsPairsBreadthFirst) {
+  // 0 -> {1, 2}, 1 -> 9, 2 -> 3 -> 9: "x <= 8" fails after 0, 1, 9. A
+  // search that expanded the later-found branch first would report the
+  // four-state 0, 2, 3, 9.
+  VarTable vars;
+  const VarId x = vars.declare("x", range_domain(0, 9));
+  const StateGraph g(vars, {State({Value::integer(0)})},
+                     [&](const State& s, const std::function<void(const State&)>& emit) {
+                       const std::int64_t v = s[x].as_int();
+                       auto to = [&](std::int64_t w) { emit(State({Value::integer(w)})); };
+                       if (v == 0) {
+                         to(1);
+                         to(2);
+                       }
+                       if (v == 1 || v == 3) to(9);
+                       if (v == 2) to(3);
+                     });
+  CanonicalSpec bound;
+  bound.name = "Bound8";
+  bound.init = ex::le(ex::var(x), ex::integer(8));
+  bound.next = ex::le(ex::primed_var(x), ex::integer(8));
+  bound.sub = {x};
+  PrefixMachine target(vars, bound);
+  PairSearchResult r = find_dead_pair(g, target);
+  EXPECT_TRUE(replay::replays_as_refutation({}, target, r.counterexample));
+  EXPECT_EQ(replay::shortest_dead_trace(g, target), 3u);
+  ASSERT_EQ(r.counterexample.size(), 3u);
+  EXPECT_EQ(r.counterexample[1][x].as_int(), 1);
+}
+
+TEST_F(InclusionTest, StateCapStopsGracefully) {
   CanonicalSpec sx = stepper(x, "SX");
   std::vector<std::shared_ptr<const SafetyMachine>> constraints = {
       std::make_shared<PrefixMachine>(vars, sx)};
   std::vector<Mover> movers = {mover_from_spec(vars, sx, 0, {y})};
-  ConstraintExplorer explorer(vars, constraints, movers, sx.init, {y},
-                              /*max_nodes=*/1);
+  ExploreOptions opts;
+  opts.max_states = 1;
+  ConstraintExplorer explorer(vars, constraints, movers, sx.init, {y}, opts);
   EXPECT_EQ(explorer.num_nodes(), 1u);
   EXPECT_EQ(explorer.stop_reason(), run::StopReason::kStateBudget);
-  // A verdict computed on the capped product is marked partial.
+  // A verdict computed on the capped product is partial: neither holds
+  // nor refutes.
   auto verdict = explorer.check_target(*constraints[0]);
   EXPECT_EQ(verdict.stop_reason, run::StopReason::kStateBudget);
+  EXPECT_FALSE(verdict.holds);
+  EXPECT_TRUE(verdict.counterexample.empty());
 }
 
 }  // namespace

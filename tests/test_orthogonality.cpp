@@ -9,6 +9,7 @@
 #include "opentla/semantics/enumerate.hpp"
 #include "opentla/semantics/oracle.hpp"
 #include "opentla/tla/disjoint.hpp"
+#include "replay.hpp"
 
 namespace opentla {
 namespace {
@@ -68,11 +69,61 @@ TEST_F(OrthogonalityTest, SimultaneousMovesBreakOrthogonality) {
   PrefixMachine m(vars, my_spec);
   OrthogonalityResult r = check_orthogonality(g, e, m);
   EXPECT_FALSE(r.holds);
+  EXPECT_TRUE(replay::replays_as_orthogonality_failure(e, m, r.counterexample));
+  EXPECT_EQ(r.counterexample.size(), replay::shortest_orthogonality_failure(g, e, m));
   // The counterexample's last step falsifies both: x and y jump together.
-  ASSERT_GE(r.counterexample.size(), 2u);
+  ASSERT_EQ(r.counterexample.size(), 2u);
   const State& last = r.counterexample.back();
   EXPECT_EQ(last[x].as_int(), 1);
   EXPECT_EQ(last[y].as_int(), 1);
+}
+
+TEST(Orthogonality, CounterexampleIsAShortestPathToTheJointFailure) {
+  // x and y climb 0..2 alone or together; E = "x <= 1", M = "y <= 1". The
+  // joint step (1, 1) -> (2, 2) kills both: reached after 3 states by the
+  // joint climb, not after the 4-state interleaved one.
+  VarTable vars;
+  const VarId x = vars.declare("x", range_domain(0, 2));
+  const VarId y = vars.declare("y", range_domain(0, 2));
+  const StateGraph g(
+      vars, {State({Value::integer(0), Value::integer(0)})},
+      [&](const State& s, const std::function<void(const State&)>& emit) {
+        const std::int64_t a = s[x].as_int(), b = s[y].as_int();
+        if (a < 2) emit(State({Value::integer(a + 1), Value::integer(b)}));
+        if (b < 2) emit(State({Value::integer(a), Value::integer(b + 1)}));
+        if (a < 2 && b < 2) emit(State({Value::integer(a + 1), Value::integer(b + 1)}));
+      });
+  auto at_most_one = [&](VarId v, std::string name) {
+    CanonicalSpec s;
+    s.name = std::move(name);
+    s.init = ex::le(ex::var(v), ex::integer(1));
+    s.next = ex::le(ex::primed_var(v), ex::integer(1));
+    s.sub = {v};
+    return s;
+  };
+  PrefixMachine e(vars, at_most_one(x, "Ex"));
+  PrefixMachine m(vars, at_most_one(y, "My"));
+  OrthogonalityResult r = check_orthogonality(g, e, m);
+  EXPECT_FALSE(r.holds);
+  EXPECT_TRUE(replay::replays_as_orthogonality_failure(e, m, r.counterexample));
+  EXPECT_EQ(replay::shortest_orthogonality_failure(g, e, m), 3u);
+  ASSERT_EQ(r.counterexample.size(), 3u);
+  EXPECT_EQ(r.counterexample[1], State({Value::integer(1), Value::integer(1)}));
+}
+
+TEST_F(OrthogonalityTest, TrippedBudgetMakesTheResultPartial) {
+  StateGraph g = generator(/*interleaved=*/true);
+  PrefixMachine e(vars, ex_spec);
+  PrefixMachine m(vars, my_spec);
+  run::RunBudget budget;
+  budget.request_stop(run::StopReason::kDeadline);
+  OrthogonalityResult r = check_orthogonality(g, e, m, &budget);
+  // Neither holds nor refutes: the search stopped before expanding a pair.
+  EXPECT_FALSE(r.holds);
+  EXPECT_TRUE(r.counterexample.empty());
+  EXPECT_EQ(r.stop_reason, run::StopReason::kDeadline);
+  // The same search without the budget holds.
+  EXPECT_TRUE(check_orthogonality(g, e, m).holds);
 }
 
 TEST_F(OrthogonalityTest, AgreesWithOracleOnAllLassos) {

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "opentla/expr/analysis.hpp"
 #include "opentla/expr/eval.hpp"
 #include "opentla/parser/lexer.hpp"
 #include "opentla/parser/parser.hpp"
@@ -227,6 +228,26 @@ SUBSCRIPT <<b>>
   EXPECT_EQ(mod.spec.sub.size(), 2u);
   EXPECT_EQ(mod.vars->domain(mod.vars->require("q")).size(), 7u);
   EXPECT_EQ(mod.vars->domain(mod.vars->require("b")).size(), 2u);
+}
+
+TEST(ParseModule, QuantifierDomainsPrintByShapeAndParseBack) {
+  // Seq(0..9, 9) holds 1111111111 sequences: printing the definition must
+  // not list them, and the printed text must parse back to the same tree.
+  ParsedModule mod = parse_module(R"(
+MODULE M
+VARIABLES x \in 0..9, b \in BOOLEAN
+DEFINE Reach == \E s \in Seq(0..9, 9) : Len(s) = x
+DEFINE Mixed == \A f \in BOOLEAN : \E n \in -2..2 : \E c \in {3, 5} : (f => b) \/ n + c = x
+INIT x = 0 /\ b = FALSE
+NEXT x' = x /\ b' = b
+)");
+  EXPECT_EQ(mod.definitions.at("Reach").to_string(*mod.vars),
+            "\\E s \\in Seq(0..9, 9) : Len(s) = x");
+  for (const char* name : {"Reach", "Mixed"}) {
+    const Expr& def = mod.definitions.at(name);
+    const std::string text = def.to_string(*mod.vars);
+    EXPECT_TRUE(structurally_equal(parse_expression(text, *mod.vars), def)) << text;
+  }
 }
 
 TEST(ParseModule, MissingPartsAreErrors) {

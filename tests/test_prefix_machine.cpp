@@ -1,12 +1,10 @@
 // Unit tests for prefix machines (subset construction over hidden
-// variables), the freeze transform, and machine products
-// (opentla/automata).
+// variables) and the freeze transform (opentla/automata).
 
 #include <gtest/gtest.h>
 
 #include "opentla/automata/freeze.hpp"
 #include "opentla/automata/prefix_machine.hpp"
-#include "opentla/automata/product.hpp"
 
 namespace opentla {
 namespace {
@@ -130,27 +128,6 @@ TEST_F(HiddenCounterTest, FreezeOnDeadInitialStateStillAlive) {
   EXPECT_TRUE(fm.alive(cfg));
   EXPECT_TRUE(fm.alive(fm.step(cfg, st(1), st(1))));
   EXPECT_FALSE(fm.alive(fm.step(cfg, st(1), st(0))));
-}
-
-TEST_F(HiddenCounterTest, ProductMachineConjunction) {
-  CanonicalSpec visible;
-  visible.name = "FlagStaysZero";
-  visible.init = ex::eq(ex::var(f), ex::integer(0));
-  visible.next = ex::bottom();
-  visible.sub = {f};
-
-  auto a = std::make_shared<PrefixMachine>(vars, spec);
-  auto b = std::make_shared<PrefixMachine>(vars, visible);
-  ProductMachine prod({a, b});
-  Value cfg = prod.initial(st(0));
-  EXPECT_TRUE(prod.alive(cfg));
-  cfg = prod.step(cfg, st(0), st(0));
-  cfg = prod.step(cfg, st(0), st(0));
-  EXPECT_TRUE(prod.alive(cfg));
-  // The flip satisfies `spec` (h = 2 witness) but violates FlagStaysZero,
-  // so the product dies.
-  EXPECT_FALSE(prod.alive(prod.step(cfg, st(0), st(1))));
-  EXPECT_EQ(prod.num_factors(), 2u);
 }
 
 }  // namespace

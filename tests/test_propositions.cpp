@@ -10,6 +10,7 @@
 #include "opentla/compose/compose.hpp"
 #include "opentla/queue/double_queue.hpp"
 #include "opentla/queue/queue_spec.hpp"
+#include "replay.hpp"
 
 namespace opentla {
 namespace {
@@ -124,7 +125,12 @@ TEST(Prop3Route, OrthogonalityFailsWithoutG) {
       discharge_h2a_via_prop3(sys.vars, components, sys.goal(), route, opts);
   bool failed_21 = false;
   for (const Obligation& ob : obs) {
-    if (ob.id == "2.1" && !ob.discharged) failed_21 = true;
+    if (ob.id != "2.1" || ob.discharged) continue;
+    failed_21 = true;
+    // The counterexample is a real one: one step kills C(E) and C(M).
+    PrefixMachine e(sys.vars, sys.goal().assumption);
+    PrefixMachine m(sys.vars, prop1_closure(sys.goal().guarantee).closure);
+    EXPECT_TRUE(replay::replays_as_orthogonality_failure(e, m, ob.counterexample));
   }
   EXPECT_TRUE(failed_21);
 }

@@ -8,6 +8,7 @@
 #include "opentla/check/invariant.hpp"
 #include "opentla/compose/compose.hpp"
 #include "opentla/queue/double_queue.hpp"
+#include "replay.hpp"
 
 namespace opentla {
 namespace {
@@ -53,6 +54,11 @@ TEST_F(TripleQueueTest, WithoutGTheChainFails) {
   ProofReport report = verify_composition(sys.vars, components, sys.goal(),
                                           options(/*interleaved_optimization=*/false));
   EXPECT_FALSE(report.all_discharged());
+  // Each product-inclusion refutation is a real one.
+  std::size_t replayed = 0;
+  EXPECT_TRUE(
+      replay::replays_inclusion_refutations(sys.vars, components, sys.goal(), report, replayed));
+  EXPECT_EQ(replayed, 4u);  // H1 for all three stages and H2a
 }
 
 TEST_F(TripleQueueTest, InterleavingOptimizationPreservesTheProof) {

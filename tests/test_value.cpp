@@ -348,6 +348,25 @@ TEST(DomainShape, StructuralQueriesLeaveTheListUnbuilt) {
   EXPECT_LT(y.deep_bytes(), 1024u);
 }
 
+TEST(DomainShape, ToStringPrintsTheShape) {
+  EXPECT_EQ(range_domain(0, 9).to_string(), "0..9");
+  EXPECT_EQ(range_domain(-2, 2).to_string(), "-2..2");
+  EXPECT_EQ(bool_domain().to_string(), "BOOLEAN");
+  // About 1.1e30 sequences: printing must not list them.
+  EXPECT_EQ(seq_domain(range_domain(0, 9), 30).to_string(), "Seq(0..9, 30)");
+  EXPECT_EQ(seq_domain(bool_domain(), 2).to_string(), "Seq(BOOLEAN, 2)");
+  EXPECT_EQ(tuple_domain({range_domain(0, 1), bool_domain(), seq_domain(range_domain(0, 1), 1)})
+                .to_string(),
+            "0..1 \\X BOOLEAN \\X Seq(0..1, 1)");
+  EXPECT_EQ(tuple_domain({tuple_domain({range_domain(0, 1), bool_domain()}), range_domain(2, 3)})
+                .to_string(),
+            "(0..1 \\X BOOLEAN) \\X 2..3");
+  EXPECT_EQ(tuple_domain({range_domain(0, 1)}).to_string(), "{<<e>> : e \\in 0..1}");
+  EXPECT_EQ(Domain({I(3), I(1)}).to_string(), "{1, 3}");
+  EXPECT_EQ(Domain().to_string(), "{}");
+  EXPECT_EQ(range_domain(1, 0).to_string(), "{}");
+}
+
 TEST(DomainShape, SizeSaturates) {
   // sum_{k=0..30} 10^k is about 1.1e30, far past SIZE_MAX.
   const Domain d = seq_domain(range_domain(0, 9), 30);

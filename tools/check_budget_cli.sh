@@ -3,7 +3,9 @@
 #
 #   1. a state-budget breach exits 3 with `stop_reason: "state_budget"`,
 #      and serial/parallel runs (threads 1, 2, 4) report the SAME state
-#      count at the same bound — the unified max_states semantics;
+#      count at the same bound — the unified max_states semantics; on the
+#      fig9 composition the same cap stops the H1 product (exit 3, H1
+#      inconclusive);
 #   2. a deadline breach on the fig9 composition exits 3, prints a partial
 #      obligation report with `stop_reason: "deadline"`, and (obs-on) the
 #      --flight-recorder dump is schema-valid against
@@ -111,6 +113,20 @@ assert data["states"] == 10, data
 assert data["stop_reason"] == "state_budget", data
 PY
 echo "ok: JSON partial result carries stop_reason"
+
+# --- 1b. State budget on fig9: the A/G product explorations obey
+#     --max-states too. 100 is below the H1 product's 670 nodes. ---
+
+rc=0
+out="$("$tlacheck" "${fig9[@]}" --max-states 100)" || rc=$?
+[ "$rc" -eq 3 ] || fail "fig9 --max-states 100: expected exit 3, got $rc: $out"
+grep -q 'stop_reason: "state_budget"' <<<"$out" \
+  || fail "fig9 --max-states 100 lacks stop_reason state_budget: $out"
+grep -q '^  \[?budget\] H1\[QE1\]' <<<"$out" \
+  || fail "fig9 --max-states 100 does not mark H1[QE1] inconclusive: $out"
+grep -q 'product nodes: 100,' <<<"$out" \
+  || fail "fig9 --max-states 100: H1 product not capped at 100 nodes: $out"
+echo "ok: fig9 state budget caps the H1 product and exits 3"
 
 # --- 2. Deadline breach on fig9: partial proof report, exit 3. ---
 

@@ -4,7 +4,9 @@
 # (1111111111 sequences) and y \in 0..1000000000 must lint, print its
 # info and check with exit 0 under a 1 GB memory cap and a 20 s timeout,
 # and `info` must report both sizes exactly. Listing either domain would
-# take tens of gigabytes.
+# take tens of gigabytes. A second module quantifies over Seq(0..9, 9) in
+# a definition: `lint` and `info` must exit 0 under the same cap, and
+# `info` must print the quantifier's domain by its shape.
 #
 # Usage: tools/check_large_domain.sh <tlacheck-binary> [sanitized]
 #   sanitized: ON when the binary is built with AddressSanitizer, whose
@@ -57,4 +59,21 @@ grep -q "y : 1000000001 values" "$workdir/info" \
 run_capped "$tlacheck" check "$spec" > "$workdir/check"
 grep -q "invariant holds over 4 states" "$workdir/check" \
   || fail "check: expected 4 states: $(cat "$workdir/check")"
+quantified="$workdir/quantified.tla"
+cat > "$quantified" <<'EOF'
+MODULE QuantifiedDomain
+VARIABLE x \in 0..9
+DEFINE Reach == \E s \in Seq(0..9, 9) : Len(s) = x
+INIT x = 0
+NEXT x' = (x + 1) % 10
+SUBSCRIPT <<x>>
+EOF
+for cmd in lint info; do
+  rc=0
+  run_capped "$tlacheck" "$cmd" "$quantified" > "$workdir/out" 2> "$workdir/err" || rc=$?
+  [ "$rc" -eq 0 ] || fail "$cmd (quantifier): expected exit 0, got $rc: $(cat "$workdir/err")"
+  echo "ok: $cmd exits 0 on a quantifier over Seq(0..9, 9)"
+done
+grep -qF 'def    Reach == \E s \in Seq(0..9, 9) : Len(s) = x' "$workdir/out" \
+  || fail "info: quantifier domain not printed by shape: $(cat "$workdir/out")"
 echo "check_large_domain: all checks passed"

@@ -613,9 +613,13 @@ int cmd_compose(const std::vector<std::pair<std::string, std::string>>& componen
   ParsedModule goal_guar = parse_module(slurp(goal_files.second), universe);
   AGSpec goal{goal_env.spec, goal_guar.spec};
 
+  // Explorations latch a --max-states stop into the run budget, which
+  // names it below; without limit flags there is none, so use a
+  // limit-free one.
+  run::RunBudget unlimited;
+  if (budget == nullptr) budget = &unlimited;
   CompositionOptions opts;
   opts.max_states = max_states;
-  opts.max_nodes = max_states;
   opts.threads = threads;
   opts.spill_at = spill_at;
   opts.budget = budget;
@@ -631,7 +635,7 @@ int cmd_compose(const std::vector<std::pair<std::string, std::string>>& componen
     if (!ob.discharged && !ob.inconclusive) return 1;
   }
   const run::StopReason reason =
-      budget != nullptr && budget->stopped() ? budget->reason() : run::StopReason::kDeadline;
+      budget->stopped() ? budget->reason() : run::StopReason::kDeadline;
   std::cout << "stop_reason: \"" << run::to_string(reason) << "\"\n";
   return run::kBudgetExitCode;
 }
