@@ -9,10 +9,7 @@
 //     bytes vs the old store's accounting formula (2 x deep bytes +
 //     sizeof(State) + 48 per state), which is what PR 9's MEMORY
 //     baselines charged;
-//   - intern throughput, fresh and duplicate, serial and sharded;
-//   - the spill path: the same workload under a tight resident budget
-//     must keep every state addressable (spot-checked round-trips) while
-//     resident arena bytes stay near the budget.
+//   - intern throughput, fresh and duplicate, serial and sharded.
 //
 // The google-benchmark timings re-run the same workloads for the counter
 // export (BENCH_bench_state_store.json, schema v3).
@@ -27,7 +24,6 @@
 #include <deque>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "bench_common.hpp"
 #include "opentla/obs/memory.hpp"
@@ -86,19 +82,15 @@ std::uint64_t peak_rss_bytes() {
 /// OPENTLA_FPSTORE_LARGE=N (default 20 million) is the EXPERIMENTS.md
 /// FPSTORE scale demonstration: intern N distinct states — past the 10^7
 /// mark the old double-copy map store could not reach in bounded memory —
-/// under a 256 MiB arena spill budget, and report peak RSS against the
-/// encoded total. Must be the only measurement in the process so ru_maxrss
-/// is attributable.
+/// and report peak RSS against the encoded total. Must be the only
+/// measurement in the process so ru_maxrss is attributable.
 void large_run() {
   std::size_t n = 20'000'000;
   if (const char* env = std::getenv("OPENTLA_FPSTORE_LARGE")) {
     if (const unsigned long long v = std::strtoull(env, nullptr, 10); v > 1) n = v;
   }
-  constexpr std::uint64_t kBudget = 256ull * 1024 * 1024;
-  std::printf("=== FPSTORE scale: %zu states, spill budget %llu MiB ===\n\n", n,
-              static_cast<unsigned long long>(kBudget >> 20));
+  std::printf("=== FPSTORE scale: %zu states ===\n\n", n);
   StateStore store;
-  store.set_spill_threshold(kBudget);
   const auto start = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < n; ++i) store.intern(make_state(i));
   const double secs = ms_since(start) / 1000.0;
@@ -108,11 +100,9 @@ void large_run() {
   }
   std::printf("interned %zu states in %.1f s (%.2f M/s)\n", store.size(), secs,
               static_cast<double>(n) / secs / 1e6);
-  std::printf("arena: %llu B encoded, %llu B resident (budget %llu B), %zu/%zu"
-              " segments spilled\n",
+  std::printf("arena: %llu B encoded, %llu B resident in %zu segments\n",
               static_cast<unsigned long long>(store.arena().used_bytes()),
               static_cast<unsigned long long>(store.arena().resident_bytes()),
-              static_cast<unsigned long long>(kBudget), store.arena().spilled_segments(),
               store.arena().segment_count());
   std::printf("peak RSS %llu MiB, round-trip spot checks %zu mismatches %s\n\n",
               static_cast<unsigned long long>(peak_rss_bytes() >> 20), mismatches,
@@ -164,28 +154,8 @@ void artifact() {
   const auto ref_start = std::chrono::steady_clock::now();
   for (std::size_t i = 0; i < kStates; ++i) ref.intern(make_state(i));
   const double ref_intern_ms = ms_since(ref_start);
-  std::printf("fresh interns: fingerprint %.2f ms, map reference %.2f ms\n",
+  std::printf("fresh interns: fingerprint %.2f ms, map reference %.2f ms\n\n",
               fp_intern_ms, ref_intern_ms);
-
-  // --- Spill: same workload under a 256 KiB resident budget. ---
-  {
-    StateStore store;
-    store.set_spill_threshold(256 * 1024);
-    std::vector<StateId> ids;
-    ids.reserve(kStates);
-    for (std::size_t i = 0; i < kStates; ++i) ids.push_back(store.intern(make_state(i)));
-    std::size_t mismatches = 0;
-    for (std::size_t i = 0; i < kStates; i += 997) {  // spot-check round-trips
-      if (!(store.get(ids[i]) == make_state(i))) ++mismatches;
-    }
-    std::printf("spill @256KiB: %zu/%zu segments spilled, %llu B resident of %llu B"
-                " encoded, %zu round-trip mismatches %s\n",
-                store.arena().spilled_segments(), store.arena().segment_count(),
-                static_cast<unsigned long long>(store.arena().resident_bytes()),
-                static_cast<unsigned long long>(store.arena().used_bytes()), mismatches,
-                mismatches == 0 ? "PASS" : "FAIL");
-  }
-  std::printf("\n");
 }
 
 void BM_FingerprintInternFresh(benchmark::State& state) {
@@ -226,21 +196,6 @@ void BM_ShardedInternFresh(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ShardedInternFresh)->Unit(benchmark::kMillisecond);
-
-void BM_SpilledGet(benchmark::State& state) {
-  // Decode cost when the canonical bytes live in mmap'd spill segments.
-  StateStore store;
-  store.set_spill_threshold(64 * 1024);
-  std::vector<StateId> ids;
-  ids.reserve(kStates);
-  for (std::size_t i = 0; i < kStates; ++i) ids.push_back(store.intern(make_state(i)));
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < kStates; i += 17) {
-      benchmark::DoNotOptimize(store.get(ids[i]));
-    }
-  }
-}
-BENCHMARK(BM_SpilledGet)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

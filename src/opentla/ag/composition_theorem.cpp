@@ -70,7 +70,6 @@ ExploreOptions explore_options(const CompositionOptions& opts) {
   explore_opts.threads = opts.threads;
   explore_opts.max_states = opts.max_states;
   explore_opts.budget = opts.budget;
-  explore_opts.spill_at = opts.spill_at;
   return explore_opts;
 }
 

@@ -73,12 +73,6 @@ struct CompositionOptions {
   /// Proposition 3's R graph): 1 = serial, 0 = hardware concurrency. The
   /// verdicts and graphs are identical for every value (see ExploreOptions).
   unsigned threads = 1;
-  /// Resident-byte budget for the state stores' arenas (see
-  /// ExploreOptions::spill_at). 0 = never spill.
-  std::uint64_t spill_at = 0;
-  /// Also verify H1/H2a's closure side conditions semantically on graphs
-  /// (slower; default is the syntactic Proposition 1 check only).
-  bool semantic_machine_closure = false;
 };
 
 /// Verifies the Composition Theorem instance

@@ -21,7 +21,6 @@ StateGraph::StateGraph(const VarTable& vars, const std::vector<State>& init_stat
     if (threads == 0) threads = 1;
   }
   if (threads <= 1) {
-    store_.set_spill_threshold(opts.spill_at);
     explore_serial(init_states, succ, opts.add_self_loops, opts.max_states, opts.budget);
     return;
   }

@@ -52,14 +52,6 @@ struct ExploreOptions {
   std::size_t max_states = 2'000'000;
   /// Materialize the stuttering self-loop on every node.
   bool add_self_loops = true;
-  /// Seen-set stripes for the parallel engine (0 = default, 64). Rounded
-  /// up to a power of two. Ignored by the serial path.
-  std::size_t shards = 0;
-  /// Resident-byte budget for the state store's arenas (tlacheck
-  /// --spill-at): past it, sealed arena segments spill to mmap-backed
-  /// temp files. 0 (the default) never spills. The graph is bit-identical
-  /// spill on or off.
-  std::uint64_t spill_at = 0;
   /// Optional run budget (deadline / RSS ceiling / signal stop). Polled
   /// during exploration; a breach halts expansion and surfaces as
   /// StateGraph::stop_reason(). Not owned.
@@ -111,8 +103,9 @@ class StateGraph {
   /// ascending. O(states + edges) to build; callers keep the result.
   CsrAdjacency reverse() const;
   /// The interned state of vars(), decoded from the store's arena record
-  /// (by value: the canonical bytes may live in a spilled segment — see
-  /// StateStore::get). A record's trailing slots are not decoded.
+  /// (by value; the record itself stays at one address for the graph's
+  /// lifetime — see StateStore::encoded). A record's trailing slots are
+  /// not decoded.
   State state(StateId s) const { return store_.get(s, vars_->size()); }
 
   /// Why exploration ended. kCompleted means the full reachable space is

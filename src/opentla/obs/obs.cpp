@@ -41,7 +41,6 @@ const char* name(Counter c) {
     case Counter::VmProgramsCompiled: return "vm_programs_compiled";
     case Counter::VmInstrsExecuted: return "vm_instrs_executed";
     case Counter::FingerprintCollisions: return "fingerprint_collisions";
-    case Counter::SpillSegments: return "spill_segments";
     case Counter::kCount: break;
   }
   return "?";

@@ -65,7 +65,6 @@ enum class Counter : std::size_t {
   VmProgramsCompiled,
   VmInstrsExecuted,
   FingerprintCollisions,   // distinct states sharing a 64-bit fingerprint (hard error)
-  SpillSegments,           // arena segments spilled to mmap-backed temp files
   kCount
 };
 

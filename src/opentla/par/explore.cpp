@@ -46,7 +46,7 @@ ExploreResult explore(const std::vector<State>& init_states,
   OPENTLA_OBS_SPAN("par.explore");
   OPENTLA_OBS_GAUGE_MAX(PeakParWorkers, threads);
 
-  ShardedStateSet seen(opts.shards, opts.spill_at);
+  ShardedStateSet seen;
   std::vector<WorkQueue> queues(threads);
   std::vector<std::vector<Expanded>> records(threads);
 
@@ -251,7 +251,6 @@ ExploreResult explore(const std::vector<State>& init_states,
   }
 
   ExploreResult res;
-  res.store.set_spill_threshold(opts.spill_at);
   res.stop_reason = stop;
   const std::size_t kept = order.size();
   for (std::size_t c = 0; c < kept; ++c) res.store.intern(state_of[order[c]]);

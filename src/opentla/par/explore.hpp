@@ -5,10 +5,10 @@
 //
 //   Phase 1 (parallel): a pool of workers drains per-thread frontier
 //   deques (owners pop LIFO, idle workers steal FIFO from peers), interns
-//   discovered states in a ShardedStateSet (mutex-striped by State::hash),
-//   and records, per expanded state, the raw successor emission list in
-//   the order the successor provider produced it. Ids in this phase are
-//   provisional: dense, but scheduling-dependent.
+//   discovered states in a ShardedStateSet (64 mutex-striped shards chosen
+//   by fingerprint bits), and records, per expanded state, the raw
+//   successor emission list in the order the successor provider produced
+//   it. Ids in this phase are provisional: dense, but scheduling-dependent.
 //
 //   Phase 2 (serial, cheap): a replay BFS over the recorded emission lists
 //   renumbers every state exactly as the serial engine's interleaved

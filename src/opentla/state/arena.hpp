@@ -1,23 +1,13 @@
 // opentla/state/arena.hpp
 //
-// Append-only byte arenas for canonical state encodings, with an
-// mmap-backed spill path. The fingerprinted stores (state.hpp,
-// sharded_store.hpp) keep exactly one copy of every interned state: its
-// canonical encoding (fingerprint.hpp), written once into a StateArena
-// and addressed by a compact 8-byte Ref. Records are u32-length-prefixed
-// and live in fixed-size segments; a segment that fills up is sealed and
-// a fresh one opened, so appending never moves existing records within a
-// segment's lifetime.
-//
-// Spill: arenas in one store share a SpillGroup — an atomic resident-byte
-// counter plus a threshold (tlacheck --spill-at BYTES). When sealing a
-// segment pushes the group past its threshold, sealed segments are
-// written to unlinked temp files and re-mapped read-only with mmap; the
-// heap buffer is freed, so resident bytes stay near
-// threshold + one active segment per arena while the full state set
-// remains addressable. Reads are position-independent: a Ref resolves
-// identically against a heap segment and a mapped one, which is what the
-// bit-identical-graph contract (spill on or off) rests on.
+// Append-only byte arenas for canonical state encodings. The
+// fingerprinted stores (state.hpp, sharded_store.hpp) keep exactly one
+// copy of every interned state: its canonical encoding (fingerprint.hpp),
+// written once into a StateArena and addressed by a compact 8-byte Ref.
+// Records are u32-length-prefixed and live in fixed-size heap segments; a
+// segment that fills up is sealed and a fresh one opened. Segments are
+// never moved or freed before the arena dies, so a record's bytes stay
+// at one address for the arena's lifetime.
 //
 // Thread safety: none — every arena is externally synchronized (the
 // serial StateStore is single-threaded; each ShardedStateSet shard
@@ -25,7 +15,6 @@
 
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -36,43 +25,8 @@
 
 namespace opentla {
 
-/// Shared spill control for all arenas of one store: a resident-byte
-/// counter (heap segment capacity, across arenas) and the threshold above
-/// which sealed segments are spilled to disk. threshold 0 disables
-/// spilling (the default).
-class SpillGroup {
- public:
-  SpillGroup() = default;
-  explicit SpillGroup(std::uint64_t threshold_bytes) : threshold_(threshold_bytes) {}
-
-  void set_threshold(std::uint64_t bytes) {
-    threshold_.store(bytes, std::memory_order_relaxed);
-  }
-  std::uint64_t threshold() const { return threshold_.load(std::memory_order_relaxed); }
-
-  void add_resident(std::uint64_t bytes) {
-    resident_.fetch_add(bytes, std::memory_order_relaxed);
-  }
-  void sub_resident(std::uint64_t bytes) {
-    resident_.fetch_sub(bytes, std::memory_order_relaxed);
-  }
-  std::uint64_t resident_bytes() const {
-    return resident_.load(std::memory_order_relaxed);
-  }
-
-  /// True when spilling is enabled and resident bytes exceed the threshold.
-  bool over_threshold() const {
-    const std::uint64_t t = threshold();
-    return t != 0 && resident_bytes() > t;
-  }
-
- private:
-  std::atomic<std::uint64_t> threshold_{0};
-  std::atomic<std::uint64_t> resident_{0};
-};
-
-/// TEST HOOK: shrink the arena segment size (default 1 MiB) so spill and
-/// multi-segment paths are exercised on tiny state sets. 0 restores the
+/// TEST HOOK: shrink the arena segment size (default 1 MiB) so the
+/// multi-segment path is exercised on tiny state sets. 0 restores the
 /// default. Applies to arenas created afterwards.
 void set_arena_segment_bytes_for_test(std::size_t bytes);
 std::size_t arena_segment_bytes();
@@ -86,49 +40,37 @@ class StateArena {
     std::uint32_t offset = 0;
   };
 
-  /// `group` (not owned, may be null = never spill) coordinates spill
-  /// across sibling arenas. Resident segment bytes are charged to
-  /// MemDomain::StateStore and released as segments spill.
-  explicit StateArena(SpillGroup* group = nullptr);
-  ~StateArena();
+  /// Segment bytes are charged to MemDomain::StateStore.
+  StateArena();
   StateArena(const StateArena&) = delete;
   StateArena& operator=(const StateArena&) = delete;
 
   /// Appends one length-prefixed record; the bytes are copied. The
-  /// returned Ref is stable for the arena's lifetime. May seal + spill
-  /// earlier segments as a side effect.
+  /// returned Ref is stable for the arena's lifetime.
   Ref append(const std::byte* data, std::size_t len);
 
   /// The record at `ref`: pointer to its payload bytes + payload length.
-  /// The pointer is invalidated by any later append (a spill may unmap
-  /// the segment) — decode or compare immediately, don't hold it.
+  /// The pointer stays valid, and the bytes unchanged, for the arena's
+  /// lifetime: later appends never move or free a record.
   std::pair<const std::byte*, std::size_t> read(Ref ref) const;
 
   std::size_t segment_count() const { return segments_.size(); }
-  std::size_t spilled_segments() const { return spilled_; }
-  /// Heap bytes currently held by unspilled segments (capacity).
+  /// Heap bytes held by the segments (capacity).
   std::uint64_t resident_bytes() const { return resident_; }
   /// Total record bytes appended (length prefixes included).
   std::uint64_t used_bytes() const { return used_; }
 
  private:
   struct Segment {
-    std::unique_ptr<std::byte[]> heap;  // null once spilled
-    const std::byte* base = nullptr;    // heap.get() or the mmap address
-    std::size_t capacity = 0;           // heap bytes (also the mmap length)
+    std::unique_ptr<std::byte[]> heap;
+    std::size_t capacity = 0;
     std::size_t used = 0;
   };
 
   void open_segment(std::size_t min_bytes);
-  /// Spill every sealed heap segment (all but the last) to disk.
-  void spill_sealed();
-  /// Re-tally resident segment bytes into the memory domain.
-  void account();
 
-  SpillGroup* group_ = nullptr;
   std::vector<Segment> segments_;
   std::size_t default_segment_bytes_;
-  std::size_t spilled_ = 0;
   std::uint64_t resident_ = 0;
   std::uint64_t used_ = 0;
   obs::MemTally mem_{obs::MemDomain::StateStore};

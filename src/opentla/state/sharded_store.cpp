@@ -38,8 +38,7 @@ void grow_shard_table(std::vector<Fingerprint>& fps, std::vector<StateId>& ids,
 }
 }  // namespace
 
-ShardedStateSet::ShardedStateSet(std::size_t shard_count, std::uint64_t spill_at) {
-  spill_.set_threshold(spill_at);
+ShardedStateSet::ShardedStateSet(std::size_t shard_count) {
   const std::size_t n = round_up_pow2(shard_count == 0 ? kDefaultShards : shard_count);
   shards_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -48,7 +47,6 @@ ShardedStateSet::ShardedStateSet(std::size_t shard_count, std::uint64_t spill_at
     shard->ids.assign(kInitialShardSlots, StateStore::kNone);
     shard->refs.assign(kInitialShardSlots, StateArena::Ref{});
     shard->mask = kInitialShardSlots - 1;
-    shard->arena = std::make_unique<StateArena>(&spill_);
     shards_.push_back(std::move(shard));
   }
   mask_ = n - 1;
@@ -78,7 +76,7 @@ ShardedStateSet::InternResult ShardedStateSet::intern(const State& s) {
   std::uint64_t probes = 0;
   while (shard.ids[idx] != StateStore::kNone) {
     if (shard.fps[idx] == fp) {
-      const auto [bytes, len] = shard.arena->read(shard.refs[idx]);
+      const auto [bytes, len] = shard.arena.read(shard.refs[idx]);
       if (len == scratch.size() &&
           (len == 0 || std::memcmp(bytes, scratch.data(), len) == 0)) {
         OPENTLA_OBS_HIST(ShardProbeLength, probes);
@@ -97,19 +95,10 @@ ShardedStateSet::InternResult ShardedStateSet::intern(const State& s) {
   if (id >= state_id_limit()) throw StateIdExhausted();
   shard.fps[idx] = fp;
   shard.ids[idx] = static_cast<StateId>(id);
-  shard.refs[idx] = shard.arena->append(scratch.data(), scratch.size());
+  shard.refs[idx] = shard.arena.append(scratch.data(), scratch.size());
   ++shard.entries;
   OPENTLA_OBS_MEM_TALLY_ADD(shard.mem, kInternSlotOverhead);
   return {static_cast<StateId>(id), true};
-}
-
-std::size_t ShardedStateSet::spilled_segments() const {
-  std::size_t total = 0;
-  for (const std::unique_ptr<Shard>& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->arena->spilled_segments();
-  }
-  return total;
 }
 
 }  // namespace opentla

@@ -30,9 +30,7 @@ class ShardedStateSet {
  public:
   /// `shard_count` is rounded up to a power of two; 0 picks the default
   /// (64 stripes, plenty for any worker count this engine runs with).
-  /// `spill_at` is the shared resident-byte budget for the shard arenas
-  /// (0 = never spill).
-  explicit ShardedStateSet(std::size_t shard_count = 0, std::uint64_t spill_at = 0);
+  explicit ShardedStateSet(std::size_t shard_count = 0);
 
   struct InternResult {
     StateId id = 0;
@@ -51,17 +49,12 @@ class ShardedStateSet {
     return static_cast<std::size_t>(next_id_.load(std::memory_order_relaxed));
   }
 
-  std::size_t shard_count() const { return shards_.size(); }
-
   /// Shard locks that were already held by another thread when an intern
   /// tried to take them (a try_lock miss). A direct contention measure for
   /// tuning the stripe count.
   std::uint64_t contended_locks() const {
     return contended_.load(std::memory_order_relaxed);
   }
-
-  /// Spill segments written across all shard arenas so far.
-  std::size_t spilled_segments() const;
 
  private:
   struct Shard {
@@ -74,16 +67,13 @@ class ShardedStateSet {
     std::vector<StateArena::Ref> refs;
     std::size_t mask = 0;
     std::size_t entries = 0;
-    std::unique_ptr<StateArena> arena;
+    StateArena arena;
     /// Memory accounting for table + ref overhead, charged under `mu` so
     /// the tally needs no atomics of its own (the arena tallies its own
     /// segment bytes); released when the set dies.
     obs::MemTally mem{obs::MemDomain::StateStore};
   };
 
-  /// Declared before shards_: each shard arena unregisters its resident
-  /// bytes from this group on destruction, so the group must outlive them.
-  SpillGroup spill_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::size_t mask_ = 0;
   /// 64-bit so the exhaustion check below kNone cannot be defeated by the

@@ -39,31 +39,7 @@ StateStore::StateStore()
     : fps_(kInitialTableSlots, 0),
       slot_ids_(kInitialTableSlots, kNone),
       table_mask_(kInitialTableSlots - 1),
-      spill_(std::make_unique<SpillGroup>()),
-      arena_(std::make_unique<StateArena>(spill_.get())) {}
-
-StateStore::~StateStore() = default;
-
-StateStore& StateStore::operator=(StateStore&& other) noexcept {
-  if (this != &other) {
-    // The old arena unregisters its resident bytes from the old spill
-    // group on destruction, so it must go before spill_ is replaced.
-    arena_.reset();
-    fps_ = std::move(other.fps_);
-    slot_ids_ = std::move(other.slot_ids_);
-    table_mask_ = other.table_mask_;
-    refs_ = std::move(other.refs_);
-    spill_ = std::move(other.spill_);
-    arena_ = std::move(other.arena_);
-    scratch_ = std::move(other.scratch_);
-    mem_ = std::move(other.mem_);
-  }
-  return *this;
-}
-
-void StateStore::set_spill_threshold(std::uint64_t bytes) {
-  spill_->set_threshold(bytes);
-}
+      arena_(std::make_unique<StateArena>()) {}
 
 void StateStore::grow_table() {
   const std::size_t new_slots = (table_mask_ + 1) * 2;

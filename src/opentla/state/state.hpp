@@ -6,10 +6,9 @@
 // fingerprinting `StateStore`: the seen-set key is a 64-bit fingerprint of
 // the state's canonical encoding (fingerprint.hpp) held in an
 // open-addressed table, and the encoding itself — the store's single copy
-// of the state — lives in an append-only arena (arena.hpp) that can spill
-// to mmap-backed segments under a --spill-at byte budget. A fingerprint
-// hit is verified against the arena bytes; a genuine 64-bit collision is
-// a hard FingerprintCollision error, never a silent merge.
+// of the state — lives in an append-only heap arena (arena.hpp). A
+// fingerprint hit is verified against the arena bytes; a genuine 64-bit
+// collision is a hard FingerprintCollision error, never a silent merge.
 
 #pragma once
 
@@ -72,11 +71,8 @@ using StateId = std::uint32_t;
 class StateStore {
  public:
   StateStore();
-  ~StateStore();
   StateStore(StateStore&&) noexcept = default;
-  /// Not defaulted: member order would destroy the old spill group before
-  /// the old arena, whose destructor unregisters from that group.
-  StateStore& operator=(StateStore&&) noexcept;
+  StateStore& operator=(StateStore&&) noexcept = default;
   StateStore(const StateStore&) = delete;
   StateStore& operator=(const StateStore&) = delete;
 
@@ -85,21 +81,17 @@ class StateStore {
   /// fingerprint, and StateIdExhausted when the dense id space is spent.
   StateId intern(const State& s);
   /// The interned state, decoded from its arena record. By value: the
-  /// canonical bytes may live in an mmap-backed spill segment, so there
-  /// is no resident State object to reference. With `width`, only the
-  /// record's first `width` values are decoded.
+  /// store keeps only the canonical bytes, never a State object. With
+  /// `width`, only the record's first `width` values are decoded.
   State get(StateId id, std::size_t width = SIZE_MAX) const;
   std::size_t size() const { return refs_.size(); }
   /// Id of `s` if already interned, otherwise nullopt-like UINT32_MAX.
   static constexpr StateId kNone = UINT32_MAX;
   StateId find(const State& s) const;
 
-  /// Resident-byte budget for the arena (tlacheck --spill-at). 0 (the
-  /// default) never spills. Takes effect on subsequent interns.
-  void set_spill_threshold(std::uint64_t bytes);
-
-  /// The canonical encoding of an interned state (pointer valid until the
-  /// next intern). For tests and benches; engine code uses get().
+  /// The canonical encoding of an interned state. The pointer stays valid,
+  /// and the bytes unchanged, for the store's lifetime: later interns
+  /// never move a record. For tests and benches; engine code uses get().
   std::pair<const std::byte*, std::size_t> encoded(StateId id) const;
 
   const StateArena& arena() const { return *arena_; }
@@ -116,7 +108,6 @@ class StateStore {
   std::size_t table_mask_ = 0;
   /// id -> arena record of the state's canonical encoding.
   std::vector<StateArena::Ref> refs_;
-  std::unique_ptr<SpillGroup> spill_;
   std::unique_ptr<StateArena> arena_;
   mutable std::vector<std::byte> scratch_;
   /// Memory accounting: table + ref overhead per first-sight intern (the

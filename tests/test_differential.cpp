@@ -606,7 +606,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PairIndependenceHarness, ::testing::Range(0u, kS
 /// (rich in duplicates and look-alike values) are interned into a
 /// StateStore, a ShardedStateSet, and a std::unordered_map keyed by the
 /// full state — ids, novelty verdicts, lookups, and round-trips must
-/// match exactly, with the arena resident or spilled to disk.
+/// match exactly, with the arena in one default segment or spread over
+/// many tiny ones.
 class RandomStateGen {
  public:
   explicit RandomStateGen(unsigned seed) : rng_(seed) {}
@@ -650,18 +651,17 @@ TEST_P(StoreVsMapHarness, InternVerdictsIdsAndRoundTripsMatchMapReference) {
   RandomStateGen gen(seed ^ 0x51ed270bu);
 
   for (int round = 0; round < 8; ++round) {
-    const bool spill = (round % 2) == 1;
+    const bool tiny = (round % 2) == 1;
     SCOPED_TRACE("seed=" + std::to_string(seed) + " round=" + std::to_string(round) +
-                 (spill ? " (spill)" : " (resident)"));
-    // Odd rounds force the disk path: 128-byte segments, 1-byte budget.
+                 (tiny ? " (tiny segments)" : " (default segments)"));
+    // Odd rounds spread every arena over many 128-byte segments.
     struct SegmentGuard {
       explicit SegmentGuard(std::size_t b) { set_arena_segment_bytes_for_test(b); }
       ~SegmentGuard() { set_arena_segment_bytes_for_test(0); }
-    } guard(spill ? 128 : 0);
+    } guard(tiny ? 128 : 0);
 
     StateStore store;
-    if (spill) store.set_spill_threshold(1);
-    ShardedStateSet sharded(/*shard_count=*/4, /*spill_at=*/spill ? 1 : 0);
+    ShardedStateSet sharded(/*shard_count=*/4);
     std::unordered_map<State, StateId, StateHash> ref;
 
     for (int i = 0; i < 400; ++i) {
@@ -686,10 +686,10 @@ TEST_P(StoreVsMapHarness, InternVerdictsIdsAndRoundTripsMatchMapReference) {
     const State absent({Value::string("never-interned-sentinel")});
     ASSERT_EQ(ref.find(absent), ref.end());
     ASSERT_EQ(store.find(absent), StateStore::kNone);
-    if (spill) {
-      EXPECT_GT(store.arena().spilled_segments(), 0u);
+    if (tiny) {
+      EXPECT_GT(store.arena().segment_count(), 1u);
     } else {
-      EXPECT_EQ(store.arena().spilled_segments(), 0u);
+      EXPECT_EQ(store.arena().segment_count(), 1u);
     }
   }
 }

@@ -201,8 +201,7 @@ TEST_F(ObsTest, RenderJsonGolden) {
       "    \"budget_stops\": 0,\n"
       "    \"vm_programs_compiled\": 0,\n"
       "    \"vm_instrs_executed\": 0,\n"
-      "    \"fingerprint_collisions\": 0,\n"
-      "    \"spill_segments\": 0\n"
+      "    \"fingerprint_collisions\": 0\n"
       "  },\n"
       "  \"gauges\": {\n"
       "    \"peak_configuration_count\": 0,\n"

@@ -301,43 +301,27 @@ TEST(ParallelExplore, SamplerSeesOnlyRegisteredSpanNamesUnderConcurrency) {
   obs::reset();
 }
 
-TEST(ParallelExplore, SpillKeepsGraphsBitIdenticalAcrossThreadCounts) {
-  // The spill path's acceptance bar: with tiny arena segments and a
-  // 1-byte resident budget (every sealed segment goes to disk at once),
-  // the graph is still bit-identical to the no-spill serial baseline for
-  // every thread count — ids, adjacency, and the decoded state behind
-  // every id now coming back from mmap'd temp files. Part of the TSan
-  // suite (tools/ci_sanitize.sh), so the shard arenas' spill accounting
-  // is also raced against the worker pool.
+TEST(ParallelExplore, TinySegmentsKeepGraphsBitIdenticalAcrossThreadCounts) {
+  // With 32-byte arena segments every shard arena of the parallel seen-set
+  // and the final store hold their records over many sealed segments, and
+  // the graph is still bit-identical to the default-segment serial
+  // baseline for every thread count: ids, adjacency, and the decoded state
+  // behind every id. Part of the TSan suite (tools/ci_sanitize.sh), so
+  // segment sealing in the shard arenas is raced against the worker pool.
+  ChannelSpace space(64);  // 130 reachable states
+  StateGraph baseline(space.vars, {space.init}, space.succ(), with_threads(1));
+  ASSERT_EQ(baseline.store().arena().segment_count(), 1u);
+
   struct SegmentGuard {
     explicit SegmentGuard(std::size_t b) { set_arena_segment_bytes_for_test(b); }
     ~SegmentGuard() { set_arena_segment_bytes_for_test(0); }
-  } guard(512);
-
-  ChannelSpace space(64);  // 130 reachable states, well past one segment
-  StateGraph baseline(space.vars, {space.init}, space.succ(), with_threads(1));
-
-  obs::reset();
-  obs::set_enabled(true);
-  for (std::uint64_t spill_at : {std::uint64_t{0}, std::uint64_t{1}}) {
-    for (unsigned threads : {1u, 2u, 4u, 8u}) {
-      SCOPED_TRACE("spill_at=" + std::to_string(spill_at));
-      ExploreOptions opts = with_threads(threads);
-      opts.spill_at = spill_at;
-      StateGraph g(space.vars, {space.init}, space.succ(), opts);
-      expect_identical(baseline, g, threads);
-      // Non-vacuity: the 1-byte budget really spilled the graph's store.
-      if (spill_at != 0) {
-        EXPECT_GT(g.store().arena().spilled_segments(), 0u);
-      }
-    }
+  } guard(32);
+  for (unsigned threads : {1u, 2u, 4u, 8u}) {
+    StateGraph g(space.vars, {space.init}, space.succ(), with_threads(threads));
+    expect_identical(baseline, g, threads);
+    // Non-vacuity: at most two records share a segment.
+    EXPECT_GE(g.store().arena().segment_count(), g.num_states() / 2);
   }
-  // The same through the obs counter, which -DOPENTLA_OBS=OFF compiles out.
-  if (obs::compile_time_enabled()) {
-    EXPECT_GE(obs::snapshot().counter(obs::Counter::SpillSegments), 1u);
-  }
-  obs::set_enabled(false);
-  obs::reset();
 }
 
 TEST(ParallelExplore, SuccessorEmissionOrderIsDeterministic) {

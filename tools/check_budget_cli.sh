@@ -16,9 +16,12 @@
 #      `stop_reason: "interrupted"` and a written dump;
 #   5. (obs-on) --run-ledger appends one line per run, schema-valid
 #      against tools/ledger_schema.json, with the breach's stop reason;
-#   6. a malformed numeric flag (--max-states, --threads, --spill-at,
-#      --steps, --seed, --serve-metrics, --state-bound) exits 2 with
-#      "error: FLAG expects a non-negative integer..., got 'TEXT'".
+#   6. a malformed numeric flag (--max-states, --threads, --steps, --seed,
+#      --serve-metrics, --state-bound, --progress=, --deadline-ms,
+#      --rss-limit-mb, --flight-recorder=, --sample-hz, --top,
+#      --serve-hold-ms) exits 2 with "error: FLAG expects a non-negative
+#      integer..., got 'TEXT'"; a removed flag is unknown (exit 2 with the
+#      usage text).
 #
 # Budget flags themselves (--deadline-ms/--rss-limit-mb/--max-states) must
 # work in OPENTLA_OBS=OFF builds; in --obs-off mode the recorder/ledger
@@ -82,8 +85,6 @@ bad_flag "error: --max-states expects a non-negative integer, got 'banana'" \
   states "$specs/counter.tla" --max-states banana
 bad_flag "error: --max-states expects a non-negative integer, got '99999999999999999999'" \
   states "$specs/counter.tla" --max-states 99999999999999999999
-bad_flag "error: --spill-at expects a non-negative integer, got '1e6'" \
-  states "$specs/counter.tla" --spill-at 1e6
 bad_flag "error: --steps expects a non-negative integer, got ''" \
   simulate "$specs/counter.tla" --steps ''
 bad_flag "error: --seed expects a non-negative integer at most 4294967295, got '4294967296'" \
@@ -92,6 +93,23 @@ bad_flag "error: --serve-metrics expects a non-negative integer at most 65535, g
   states "$specs/counter.tla" --serve-metrics 65536
 bad_flag "error: --state-bound expects a non-negative integer, got '+5'" \
   lint "$specs/counter.tla" --state-bound +5
+bad_flag "error: --progress expects a non-negative integer, got '5x'" \
+  states "$specs/counter.tla" --progress=5x
+bad_flag "error: --deadline-ms expects a non-negative integer, got '5x'" \
+  states "$specs/counter.tla" --deadline-ms 5x
+bad_flag "error: --deadline-ms expects a non-negative integer at most 1000000000000, got '9999999999999999999999'" \
+  states "$specs/counter.tla" --deadline-ms 9999999999999999999999
+bad_flag "error: --rss-limit-mb expects a non-negative integer, got 'abc'" \
+  states "$specs/counter.tla" --rss-limit-mb abc
+bad_flag "error: --flight-recorder expects a non-negative integer, got '16k'" \
+  states "$specs/counter.tla" --flight-recorder=16k
+bad_flag "error: --sample-hz expects a non-negative integer, got '10x'" \
+  states "$specs/counter.tla" --sample-hz 10x
+bad_flag "error: --top expects a non-negative integer, got '3x'" \
+  profile states "$specs/counter.tla" --top 3x
+bad_flag "error: --serve-hold-ms expects a non-negative integer, got 'abc'" \
+  states "$specs/counter.tla" --serve-hold-ms abc
+bad_flag "usage: tlacheck" states "$specs/counter.tla" --spill-at 1000
 echo "ok: malformed numeric flags exit 2 with the flag's message"
 
 # A generous budget must not trigger (exit 0, no stop_reason line).

@@ -264,7 +264,7 @@ run_config() {
   # The state-store microbench pins the map-vs-fingerprint store
   # comparison (intern throughput + bytes-per-state on the 10^5-state fig
   # spaces; the FPSTORE experiment records its numbers) and exercises the
-  # probe-length histogram plus the spill path.
+  # probe-length histogram.
   if [ ! -x "$dir/bench/bench_state_store" ]; then
     echo "error: bench_state_store missing under $dir/bench" >&2
     exit 1

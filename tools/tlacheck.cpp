@@ -153,6 +153,11 @@ namespace {
 
 /// Most workers --threads accepts.
 constexpr std::uint64_t kMaxThreads = 1024;
+/// Most milliseconds a duration flag accepts (about 31 years): keeps the
+/// deadline and sleep arithmetic of std::chrono in range.
+constexpr std::uint64_t kMaxMillis = 1'000'000'000'000;
+/// Most a count flag kept in a `long` accepts.
+constexpr std::uint64_t kMaxLong = std::numeric_limits<long>::max();
 
 /// The value of a numeric flag: digits only, at most `max`. Anything else
 /// (a sign, a suffix, an empty string, an out-of-range number) is a usage
@@ -192,9 +197,6 @@ int usage() {
          "options: --invariant EXPR   --dump   --max-states N   --steps N   --seed S\n"
          "         --threads N (exploration workers, at most 1024; 1 = serial,\n"
          "         0 = hardware concurrency; the graph is identical for every N)\n"
-         "         --spill-at BYTES (state-store resident budget: past it, sealed\n"
-         "         arena segments spill to mmap-backed temp files; the graph is\n"
-         "         identical spill on or off; 0 = never, the default)\n"
          "         --format json (info|states|lint|coverage)   --stats (any subcommand)\n"
          "         --deadline-ms N   --rss-limit-mb N (run budgets: graceful stop,\n"
          "         partial result with stop_reason, exit 3; work in every build)\n"
@@ -595,8 +597,7 @@ int cmd_compose(const std::vector<std::pair<std::string, std::string>>& componen
                 const std::vector<std::string>& constraint_files,
                 const std::pair<std::string, std::string>& goal_files,
                 const std::vector<std::pair<std::string, std::string>>& witness_srcs,
-                std::size_t max_states, unsigned threads, std::uint64_t spill_at,
-                run::RunBudget* budget) {
+                std::size_t max_states, unsigned threads, run::RunBudget* budget) {
   // All modules share one universe, merged by variable name.
   auto universe = std::make_shared<VarTable>();
   std::vector<AGSpec> components;
@@ -621,7 +622,6 @@ int cmd_compose(const std::vector<std::pair<std::string, std::string>>& componen
   CompositionOptions opts;
   opts.max_states = max_states;
   opts.threads = threads;
-  opts.spill_at = spill_at;
   opts.budget = budget;
   for (const auto& [name, src] : witness_srcs) {
     opts.goal_witness.emplace_back(name, parse_expression(src, *universe));
@@ -857,7 +857,6 @@ int main(int argc, char** argv) {
   bool stats = false;
   std::size_t max_states = 2'000'000;
   unsigned threads = 1;
-  std::uint64_t spill_at = 0;  // 0 = never spill
   std::size_t steps = 16;
   unsigned seed = 0;
   std::string format = "human";
@@ -902,9 +901,6 @@ int main(int argc, char** argv) {
     } else if (args[i] == "--threads" && i + 1 < args.size()) {
       threads = static_cast<unsigned>(parse_count(args[i], args[i + 1], kMaxThreads));
       ++i;
-    } else if (args[i] == "--spill-at" && i + 1 < args.size()) {
-      spill_at = parse_count(args[i], args[i + 1]);
-      ++i;
     } else if (args[i] == "--from" && i + 1 < args.size()) {
       from_src = args[++i];
     } else if (args[i] == "--to" && i + 1 < args.size()) {
@@ -929,37 +925,46 @@ int main(int argc, char** argv) {
     } else if (args[i] == "--progress") {
       progress_ms = 250;
     } else if (args[i].rfind("--progress=", 0) == 0) {
-      progress_ms = std::stol(args[i].substr(std::string("--progress=").size()));
-      if (progress_ms <= 0) return usage();
+      progress_ms = static_cast<long>(parse_count(
+          "--progress", args[i].substr(std::string("--progress=").size()), kMaxMillis));
+      if (progress_ms == 0) return usage();
     } else if (args[i] == "--events" && i + 1 < args.size()) {
       events_file = args[++i];
     } else if (args[i] == "--metrics-out" && i + 1 < args.size()) {
       metrics_file = args[++i];
     } else if (args[i] == "--deadline-ms" && i + 1 < args.size()) {
-      deadline_ms = std::stol(args[++i]);
-      if (deadline_ms <= 0) return usage();
+      deadline_ms = static_cast<long>(parse_count(args[i], args[i + 1], kMaxMillis));
+      if (deadline_ms == 0) return usage();
+      ++i;
     } else if (args[i] == "--rss-limit-mb" && i + 1 < args.size()) {
-      rss_limit_mb = std::stol(args[++i]);
-      if (rss_limit_mb <= 0) return usage();
+      // The byte limit is mb << 20, which must fit in 64 bits.
+      rss_limit_mb = static_cast<long>(
+          parse_count(args[i], args[i + 1], std::numeric_limits<std::uint64_t>::max() >> 20));
+      if (rss_limit_mb == 0) return usage();
+      ++i;
     } else if (args[i] == "--flight-recorder") {
       flight_cap = 4096;
     } else if (args[i].rfind("--flight-recorder=", 0) == 0) {
-      flight_cap = std::stol(args[i].substr(std::string("--flight-recorder=").size()));
-      if (flight_cap <= 0) return usage();
+      flight_cap = static_cast<long>(parse_count(
+          "--flight-recorder", args[i].substr(std::string("--flight-recorder=").size()),
+          kMaxLong));
+      if (flight_cap == 0) return usage();
     } else if (args[i] == "--sample-hz" && i + 1 < args.size()) {
-      sample_hz = std::stol(args[++i]);
-      if (sample_hz <= 0) return usage();
+      sample_hz = static_cast<long>(parse_count(args[i], args[i + 1], kMaxLong));
+      if (sample_hz == 0) return usage();
+      ++i;
     } else if (args[i] == "--top" && i + 1 < args.size()) {
-      top_n = std::stol(args[++i]);
-      if (top_n <= 0) return usage();
+      top_n = static_cast<long>(parse_count(args[i], args[i + 1], kMaxLong));
+      if (top_n == 0) return usage();
+      ++i;
     } else if (args[i] == "--flight-out" && i + 1 < args.size()) {
       flight_out = args[++i];
     } else if (args[i] == "--serve-metrics" && i + 1 < args.size()) {
       serve_port = static_cast<int>(parse_count(args[i], args[i + 1], 65535));
       ++i;
     } else if (args[i] == "--serve-hold-ms" && i + 1 < args.size()) {
-      serve_hold_ms = std::stol(args[++i]);
-      if (serve_hold_ms < 0) return usage();
+      serve_hold_ms = static_cast<long>(parse_count(args[i], args[i + 1], kMaxMillis));
+      ++i;
     } else if (args[i] == "--run-ledger" && i + 1 < args.size()) {
       ledger_file = args[++i];
     } else if (args[i] == "--stats") {
@@ -998,7 +1003,6 @@ int main(int argc, char** argv) {
     ExploreOptions eopts;
     eopts.threads = threads;
     eopts.max_states = max_states;
-    eopts.spill_at = spill_at;
 
     // Run budget: armed by any limit flag. The flight recorder arms it too
     // (signal watch only) so SIGINT/SIGTERM end in a dump plus a graceful
@@ -1023,7 +1027,7 @@ int main(int argc, char** argv) {
       if (cmd == "compose") {
         if (goal_files.first.empty() || component_files.empty()) return usage();
         return cmd_compose(component_files, constraint_files, goal_files, witnesses,
-                           max_states, threads, spill_at, budget.get());
+                           max_states, threads, budget.get());
       }
       if (cmd == "lint") {
         if (files.empty()) return usage();
